@@ -25,7 +25,7 @@ most blocks); phases are serial, as in the paper's stacked bars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -153,6 +153,98 @@ def _steady_state_row_misses(fa, mapping, rows: np.ndarray, cols: np.ndarray) ->
     return float(np.sum(miss_orig[len(cols):]))
 
 
+@dataclass(frozen=True)
+class _GroupPhase:
+    """N-independent GEMM-phase state of one (critical PIM, group) walk.
+
+    Every array covers one group row (O(n_cols)); the per-access vectors
+    over the whole group are tiled from them for each N and then dropped.
+    """
+
+    cadence: np.ndarray  # per-access issue cadence of one row walk
+    n_rows: int
+    crossings_per_row: float  # steady-state row-buffer misses per row walk
+    naive_iters: Optional[np.ndarray]  # naive AGEN probes of one row walk
+    naive_row_advance: float  # naive probes at each group-row boundary
+
+
+def _group_phase(
+    config: StepStoneConfig,
+    plan: GemmPlan,
+    pim: int,
+    group: int,
+    agen: str,
+    naive_full_gaps: bool,
+) -> _GroupPhase:
+    t = config.timing
+    fa = plan.analysis
+    mapping = fa.mapping
+    g = mapping.geometry
+    cols = fa.cols_of(pim, group)  # non-empty: the layout lists only owned groups
+    rows = fa.rows_of_group(group)
+    n_cols, n_rows = len(cols), len(rows)
+    r0 = int(rows[0])
+    bb = _U64(g.block_bytes)
+    addrs = _U64(fa.base) + _U64(r0) * _U64(fa.row_bytes) + cols.astype(_U64) * bb
+
+    # Per-access cadence within one row walk: tCCD_L within a bank
+    # group, tCCD_S across, rank switch across ranks.
+    bgs = mapping.field_values(addrs, "bankgroup")
+    rks = mapping.field_values(addrs, "rank")
+    cadence = np.full(n_cols, float(t.tCCDS))
+    if n_cols > 1:
+        same_rank = rks[1:] == rks[:-1]
+        same_bg = (bgs[1:] == bgs[:-1]) & same_rank
+        c = np.where(same_bg, float(t.tCCDL), float(t.tCCDS))
+        c = np.where(same_rank, c, float(t.tBL + t.tRTRS))
+        cadence[1:] = c
+    if plan.unit.level is PimLevel.BANKGROUP:
+        cadence[:] = float(plan.unit.cadence(t))  # confined to one bank group
+
+    naive_iters, row_advance = None, 0.0
+    if agen == "naive":
+        naive_iters = naive_iterations(addrs, g.block_bytes).astype(np.float64)
+        if naive_full_gaps and n_rows > 1:
+            # Charge the true block gap between the last block of one
+            # group row and the first of the next.
+            row_gap_rows = float(np.mean(np.diff(rows)))
+            row_advance = max(
+                1.0,
+                row_gap_rows * fa.blocks_per_row - float(cols[-1]) + float(cols[0]),
+            )
+        else:
+            row_advance = 2.0  # loop-assisted row advance
+
+    # Residual row-buffer misses: a miss happens only when a bank is
+    # revisited with a *different* row open, so track per-bank last-seen
+    # rows over two consecutive group rows and count the steady-state
+    # misses of the second.
+    crossings = _steady_state_row_misses(fa, mapping, rows, cols)
+    for a in (cadence, naive_iters):
+        if a is not None:
+            a.flags.writeable = False
+    return _GroupPhase(cadence, n_rows, crossings, naive_iters, row_advance)
+
+
+def _gemm_phase_groups(
+    config: StepStoneConfig,
+    plan: GemmPlan,
+    agen: str,
+    naive_full_gaps: bool,
+) -> Tuple[_GroupPhase, ...]:
+    """The critical PIM's per-group phase state, memoized on the layout."""
+    pim = plan.max_blocks_pim
+    key = (pim, agen, naive_full_gaps, plan.unit, config.timing)
+    groups = plan.layout.phases.get(key)
+    if groups is None:
+        groups = tuple(
+            _group_phase(config, plan, pim, w.group, agen, naive_full_gaps)
+            for w in plan.work[pim]
+        )
+        plan.layout.phases[key] = groups
+    return groups
+
+
 def _gemm_phase_cycles(
     config: StepStoneConfig,
     plan: GemmPlan,
@@ -160,66 +252,31 @@ def _gemm_phase_cycles(
     naive_full_gaps: bool,
 ) -> tuple[float, float]:
     """(cycles, bubble_stall) of the GEMM phase on the critical PIM."""
+    if agen not in ("stepstone", "naive"):
+        raise ValueError(f"unknown agen {agen!r}")
     t = config.timing
     u = plan.unit
-    fa = plan.analysis
-    mapping = fa.mapping
-    g = mapping.geometry
-    pim = plan.max_blocks_pim
     compute = u.compute_cycles_per_block(plan.shape.n)
-    base_cadence = float(u.cadence(t))
     lookahead_cover = float(u.pipeline_depth)
+    # The deep pipeline lets StepStone pre-activate upcoming rows, hiding
+    # all but (penalty - pipeline) cycles of each row miss; the naive
+    # generator cannot run ahead and pays the full penalty.
+    if agen == "stepstone":
+        per_miss = max(0.0, t.row_miss_penalty - lookahead_cover)
+    else:
+        per_miss = float(t.row_miss_penalty)
     total = 0.0
     stall = 0.0
-    for w in plan.work[pim]:
-        cols = fa.cols_of(pim, w.group)
-        n_cols, n_rows = len(cols), w.n_rows
-        if n_cols == 0 or n_rows == 0:
-            continue
-        rows = fa.rows_of_group(w.group)
-        r0 = int(rows[0])
-        bb = _U64(g.block_bytes)
-        addrs = _U64(fa.base) + _U64(r0) * _U64(fa.row_bytes) + cols.astype(_U64) * bb
-
-        # Per-access cadence within one row walk: tCCD_L within a bank
-        # group, tCCD_S across, rank switch across ranks.
-        bgs = mapping.field_values(addrs, "bankgroup")
-        rks = mapping.field_values(addrs, "rank")
-        cadence = np.full(n_cols, float(t.tCCDS))
-        if n_cols > 1:
-            same_rank = rks[1:] == rks[:-1]
-            same_bg = (bgs[1:] == bgs[:-1]) & same_rank
-            c = np.where(same_bg, float(t.tCCDL), float(t.tCCDS))
-            c = np.where(same_rank, c, float(t.tBL + t.tRTRS))
-            cadence[1:] = c
-        if u.level is PimLevel.BANKGROUP:
-            cadence[:] = base_cadence  # confined to one bank group
-
+    for gp in _gemm_phase_groups(config, plan, agen, naive_full_gaps):
+        n_cols, n_rows = len(gp.cadence), gp.n_rows
         # AGEN iterations per access over the full group trace.
-        n_blk = n_cols * n_rows
         if agen == "stepstone":
-            iters = stepstone_iteration_counts(n_blk).astype(np.float64)
-        elif agen == "naive":
-            within = naive_iterations(addrs, g.block_bytes).astype(np.float64)
-            iters = np.tile(within, n_rows)
-            if naive_full_gaps and n_rows > 1:
-                # Charge the true block gap between the last block of one
-                # group row and the first of the next.
-                row_gap_rows = float(np.mean(np.diff(rows))) if n_rows > 1 else 1.0
-                trans_gap = max(
-                    1.0,
-                    row_gap_rows * fa.blocks_per_row
-                    - float(cols[-1])
-                    + float(cols[0]),
-                )
-                iters[n_cols::n_cols] = trans_gap
-            else:
-                iters[n_cols::n_cols] = 2.0  # loop-assisted row advance
+            iters = stepstone_iteration_counts(n_cols * n_rows).astype(np.float64)
         else:
-            raise ValueError(f"unknown agen {agen!r}")
+            iters = np.tile(gp.naive_iters, n_rows)
+            iters[n_cols::n_cols] = gp.naive_row_advance
 
-        cad_tiled = np.tile(cadence, n_rows)
-        base = np.maximum(cad_tiled, compute)
+        base = np.maximum(np.tile(gp.cadence, n_rows), compute)
         # The AGEN runs ahead of the access pipeline through a
         # pipeline_depth-deep FIFO, so transient long iteration counts
         # borrow earlier slack; the pipe only starves once the cumulative
@@ -229,21 +286,7 @@ def _gemm_phase_cycles(
         group_stall = max(0.0, float(deficit.max()) - lookahead_cover)
         total += float(np.sum(base)) + group_stall
         stall += group_stall
-
-        # Residual row-buffer miss penalties.  A miss happens only when a
-        # bank is revisited with a *different* row open, so track per-bank
-        # last-seen rows over two consecutive group rows and count the
-        # steady-state misses of the second.  The deep pipeline lets
-        # StepStone pre-activate upcoming rows, hiding all but
-        # (penalty - pipeline) cycles; the naive generator cannot run ahead
-        # and pays the full penalty.
-        crossings_per_row = _steady_state_row_misses(fa, mapping, rows, cols)
-        crossings_total = crossings_per_row * n_rows
-        if agen == "stepstone":
-            per_miss = max(0.0, t.row_miss_penalty - lookahead_cover)
-        else:
-            per_miss = float(t.row_miss_penalty)
-        total += crossings_total * per_miss
+        total += gp.crossings_per_row * n_rows * per_miss
     # Refresh steals a fixed fraction of PIM-visible time.
     total *= 1.0 / (1.0 - t.refresh_overhead)
     return total, stall

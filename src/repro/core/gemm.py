@@ -4,7 +4,9 @@ Planning turns (matrix shape, PIM level, mapping) into everything the timing
 executor needs:
 
 * padded power-of-two shape (§III footnote 2);
-* the footprint analysis (block groups, per-(PIM, group) columns);
+* the footprint layout (block groups, per-(PIM, group) columns), which
+  depends only on the weight footprint and never on the activation width N
+  (§III-B), so it is built once per footprint and shared by every plan;
 * scratchpad partitioning: row partitions sized so the C tile fits, column
   partitions so the B tile fits, with the B/C split chosen by a small search
   (§V-F "We search for an optimal allocation across the scratchpad
@@ -18,15 +20,22 @@ executor needs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import PimUnitConfig, StepStoneConfig
 from repro.mapping.analysis import FootprintAnalysis
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 
-__all__ = ["GemmShape", "GroupWork", "GemmPlan", "plan_gemm"]
+__all__ = [
+    "GemmShape",
+    "GroupWork",
+    "FootprintLayout",
+    "GemmPlan",
+    "footprint_layout",
+    "clear_footprint_layouts",
+    "plan_gemm",
+]
 
 
 def _next_pow2(x: int) -> int:
@@ -74,6 +83,97 @@ class GroupWork:
     n_rows: int  # matrix rows in the group
 
 
+@dataclass(frozen=True, eq=False)
+class FootprintLayout:
+    """The N-independent half of a plan: one weight footprint's work split.
+
+    Which block groups the footprint forms, and which columns each PIM owns
+    in each group, depend only on the footprint and its alignment (§III-B),
+    so one layout serves every activation width.  ``phases`` holds the
+    executor's per-group GEMM-phase state, keyed by the executor; every
+    entry there is O(columns of one group row), never O(blocks).
+    """
+
+    analysis: FootprintAnalysis
+    work: Mapping[int, Tuple[GroupWork, ...]]  # pim -> group work items
+    max_group_cols: int
+    blocks_per_pim: Mapping[int, int]
+    critical_pim: int  # first PIM with the most blocks (the makespan unit)
+    total_group_cols: int  # block columns summed over every (PIM, group)
+    phases: Dict[tuple, tuple] = field(default_factory=dict, repr=False)
+
+
+def _build_layout(analysis: FootprintAnalysis) -> FootprintLayout:
+    n_rows = [len(analysis.rows_of_group(grp)) for grp in range(analysis.n_groups)]
+    work: Dict[int, Tuple[GroupWork, ...]] = {}
+    max_group_cols = 1
+    for pim in analysis.active_pim_ids():
+        items: List[GroupWork] = []
+        for grp, rows in enumerate(n_rows):
+            n_cols = len(analysis.cols_of(int(pim), grp))
+            if n_cols == 0:
+                continue
+            items.append(GroupWork(int(pim), grp, n_cols, rows))
+            max_group_cols = max(max_group_cols, n_cols)
+        if items:
+            work[int(pim)] = tuple(items)
+    blocks = {pim: sum(w.n_cols * w.n_rows for w in items) for pim, items in work.items()}
+    return FootprintLayout(
+        analysis=analysis,
+        work=work,
+        max_group_cols=max_group_cols,
+        blocks_per_pim=blocks,
+        critical_pim=max(blocks, key=lambda p: blocks[p]),
+        total_group_cols=sum(w.n_cols for items in work.values() for w in items),
+    )
+
+
+#: Process-wide layout memo, keyed on content (never on object identity, so
+#: engines that each build their own equal mapping share entries).  Oldest
+#: entries go first once it holds _MAX_LAYOUTS footprints.
+_LAYOUTS: Dict[tuple, FootprintLayout] = {}
+_MAX_LAYOUTS = 1024
+
+
+def footprint_layout(
+    mapping: XORAddressMapping,
+    level: PimLevel,
+    m_rows: int,
+    k_cols: int,
+    base: int = 0,
+    word_bytes: int = 4,
+    pinned_id_bits: int = 0,
+) -> FootprintLayout:
+    """The (memoized) layout of a padded M x K footprint.
+
+    Invalid footprints raise from :class:`FootprintAnalysis` on every call;
+    only layouts that were built successfully are remembered.
+    """
+    key = (mapping.content_key, level, m_rows, k_cols, base, word_bytes, pinned_id_bits)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _build_layout(
+            FootprintAnalysis(
+                mapping,
+                level,
+                m_rows,
+                k_cols,
+                base=base,
+                word_bytes=word_bytes,
+                pinned_id_bits=pinned_id_bits,
+            )
+        )
+        if len(_LAYOUTS) >= _MAX_LAYOUTS:
+            del _LAYOUTS[next(iter(_LAYOUTS))]
+        _LAYOUTS[key] = layout
+    return layout
+
+
+def clear_footprint_layouts() -> None:
+    """Forget every memoized layout (and the executor state it holds)."""
+    _LAYOUTS.clear()
+
+
 @dataclass
 class GemmPlan:
     """Fully-resolved execution plan for one GEMM at one PIM level."""
@@ -82,13 +182,21 @@ class GemmPlan:
     orig_shape: GemmShape
     level: PimLevel
     unit: PimUnitConfig
-    analysis: FootprintAnalysis
+    layout: FootprintLayout
     rpart_rows: int
     cpart_blocks: int
     n_rparts: int
     scratchpad_c_fraction: float
-    work: Dict[int, List[GroupWork]]  # pim -> group work items
     direct_scratchpad: bool  # small-matrix optimization (§III-E)
+
+    @property
+    def analysis(self) -> FootprintAnalysis:
+        return self.layout.analysis
+
+    @property
+    def work(self) -> Mapping[int, Tuple[GroupWork, ...]]:
+        """pim -> group work items."""
+        return self.layout.work
 
     # ------------------------------------------------------------------ #
     # Derived volumes (words of fp32 unless noted)
@@ -118,8 +226,7 @@ class GemmPlan:
         Each group needs the full K x N input once, spread over the PIMs
         owning its columns (Fig. 5), so the total is n_groups * K * N.
         """
-        total_cols = sum(w.n_cols for items in self.work.values() for w in items)
-        return total_cols * 16 * self.shape.n
+        return self.layout.total_group_cols * 16 * self.shape.n
 
     @property
     def reduction_read_words(self) -> int:
@@ -131,16 +238,12 @@ class GemmPlan:
 
     @property
     def gemm_blocks_per_pim(self) -> Dict[int, int]:
-        return {
-            pim: sum(w.n_cols * w.n_rows for w in items)
-            for pim, items in self.work.items()
-        }
+        return dict(self.layout.blocks_per_pim)
 
     @property
     def max_blocks_pim(self) -> int:
         """The PIM with the most work (the makespan-critical unit)."""
-        blocks = self.gemm_blocks_per_pim
-        return max(blocks, key=lambda p: blocks[p])
+        return self.layout.critical_pim
 
     def fill_b_blocks(self, pim: int) -> float:
         """Cache blocks read from PIM-local DRAM to fill B tiles (total).
@@ -241,7 +344,7 @@ def plan_gemm(
     """
     u = unit or config.unit(level)
     padded = shape.padded(word_bytes=config.word_bytes, block_bytes=mapping.geometry.block_bytes)
-    analysis = FootprintAnalysis(
+    layout = footprint_layout(
         mapping,
         level,
         padded.m,
@@ -250,19 +353,7 @@ def plan_gemm(
         word_bytes=config.word_bytes,
         pinned_id_bits=pinned_id_bits,
     )
-    work: Dict[int, List[GroupWork]] = {}
-    max_group_cols = 1
-    for pim in analysis.active_pim_ids():
-        items: List[GroupWork] = []
-        for grp in range(analysis.n_groups):
-            cols = analysis.cols_of(int(pim), grp)
-            if len(cols) == 0:
-                continue
-            rows = analysis.rows_of_group(grp)
-            items.append(GroupWork(int(pim), grp, len(cols), len(rows)))
-            max_group_cols = max(max_group_cols, len(cols))
-        if items:
-            work[int(pim)] = items
+    max_group_cols = layout.max_group_cols
     rpart, cpart, frac = _choose_partitions(padded, u, max_group_cols, config.word_bytes)
     n_rparts = math.ceil(padded.m / rpart)
 
@@ -281,11 +372,10 @@ def plan_gemm(
         orig_shape=shape,
         level=level,
         unit=u,
-        analysis=analysis,
+        layout=layout,
         rpart_rows=rpart,
         cpart_blocks=cpart,
         n_rparts=n_rparts,
         scratchpad_c_fraction=frac,
-        work=work,
         direct_scratchpad=direct,
     )

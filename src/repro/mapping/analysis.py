@@ -30,6 +30,10 @@ __all__ = ["Constraint", "BlockGrouping", "FootprintAnalysis", "analyze_footprin
 
 _U64 = np.uint64
 
+#: What :meth:`FootprintAnalysis.cols_of` returns for a PIM without columns.
+_NO_COLS = np.empty(0, dtype=np.int64)
+_NO_COLS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Constraint:
@@ -140,7 +144,7 @@ class FootprintAnalysis:
         self.id_masks: Tuple[int, ...] = full_masks[pinned_id_bits:]
         self.base_id = self._pim_id_scalar(base)
         self._grouping: BlockGrouping | None = None
-        self._cols_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        self._cols_cache: Dict[int, Dict[int, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     # ID evaluation over the (possibly subsetted) ID space
@@ -249,10 +253,14 @@ class FootprintAnalysis:
 
         Identical for every row of the group — that is the group invariant.
         """
-        key = (pim, group)
-        cached = self._cols_cache.get(key)
-        if cached is not None:
-            return cached
+        by_pim = self._cols_cache.get(group)
+        if by_pim is None:
+            by_pim = self._cols_cache[group] = self._group_cols(group)
+        return by_pim.get(pim, _NO_COLS)
+
+    def _group_cols(self, group: int) -> Dict[int, np.ndarray]:
+        """Every PIM's local columns in *group*, from one ID evaluation of
+        the group's first row."""
         rows = self.rows_of_group(group)
         if len(rows) == 0:
             raise ValueError(f"group {group} is empty")
@@ -263,10 +271,13 @@ class FootprintAnalysis:
             + _U64(r0) * _U64(self.row_bytes)
             + cols * _U64(self.mapping.geometry.block_bytes)
         )
-        ids = self._pim_ids(addrs)
-        out = np.nonzero(ids == _U64(pim))[0].astype(np.int64)
-        self._cols_cache[key] = out
-        return out
+        ids = self._pim_ids(addrs).astype(np.int64)
+        # A stable sort keeps each PIM's columns in ascending order.  The
+        # column arrays are shared by every plan of this footprint: read-only.
+        order = np.argsort(ids, kind="stable").astype(np.int64)
+        order.flags.writeable = False
+        pims, starts = np.unique(ids[order], return_index=True)
+        return {int(p): c for p, c in zip(pims, np.split(order, starts[1:]))}
 
     def blocks_of(self, pim: int, group: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Block addresses of (pim, group) in execution order (row-major).

@@ -175,6 +175,12 @@ class XORAddressMapping:
                     )
             self.field_masks[fname] = masks
         self._check_invertible()
+        #: Hashable identity of the transform: equal keys map every address
+        #: identically, whatever the name or the object.
+        self.content_key: Tuple = (
+            geometry,
+            tuple(self.field_masks[f] for f in FIELD_ORDER),
+        )
         # Pre-pack masks for vectorized evaluation.
         self._packed: Dict[str, np.ndarray] = {
             f: np.asarray(ms, dtype=_U64) for f, ms in self.field_masks.items()

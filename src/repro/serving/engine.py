@@ -84,10 +84,14 @@ class Request:
     slo_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival time must be non-negative")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("SLO must be positive when given")
+        if not (math.isfinite(self.arrival_s) and self.arrival_s >= 0):
+            raise ValueError(
+                f"arrival time must be finite and non-negative, got {self.arrival_s}"
+            )
+        if self.slo_s is not None and not (math.isfinite(self.slo_s) and self.slo_s > 0):
+            raise ValueError(
+                f"SLO must be finite and positive when given, got {self.slo_s}"
+            )
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,15 @@ class TestIterationModels:
     def test_stepstone_empty(self):
         assert len(stepstone_iteration_counts(0)) == 0
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1 << 20])
+    def test_stepstone_counts_match_scalar_ruler(self, n):
+        """Step k >= 1 costs tz(k) + 2 = (k & -k).bit_length() + 1; step 0
+        is the pipeline fill, charged 2 here."""
+        ref = [2] + [(k & -k).bit_length() + 1 for k in range(1, n)]
+        c = stepstone_iteration_counts(n)
+        assert c.dtype == np.int64
+        assert c.tolist() == ref[:n]
+
     def test_naive_gap_counts(self):
         addrs = np.array([0, 64, 256, 320], dtype=np.uint64)
         assert naive_iterations(addrs).tolist() == [1, 1, 3, 1]

@@ -84,6 +84,11 @@ class TestWorkload:
         with pytest.raises(ValueError):
             GenRequest(0, 0.0, 4, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_rejected(self, bad):
+        with pytest.raises(ValueError, match="arrival time must be finite"):
+            GenRequest(0, bad, 4, 4)
+
 
 class TestModelConfig:
     def test_kv_bytes_per_token_formula(self):

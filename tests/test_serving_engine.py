@@ -65,6 +65,16 @@ class TestStreams:
         with pytest.raises(ValueError):
             Request(req_id=0, model="BERT", arrival_s=0.0, slo_s=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_rejected(self, bad):
+        with pytest.raises(ValueError, match="arrival time must be finite"):
+            Request(req_id=0, model="BERT", arrival_s=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slo_rejected(self, bad):
+        with pytest.raises(ValueError, match="SLO must be finite"):
+            Request(req_id=0, model="BERT", arrival_s=0.0, slo_s=bad)
+
 
 class TestBatchLatency:
     def test_unknown_policy_and_model(self, eng):
