@@ -15,19 +15,22 @@ kernel:
   drain completes (and nodes still provisioning are cancelled first,
   since they never held traffic);
 * **control ticks** — every ``control_interval_s`` (a ``CONTROL``
-  event) the :class:`~repro.autoscale.policies.AutoscalePolicy` sees a
-  windowed observation (arrivals, completions, rejections, exact
-  busy-time utilization via :class:`~repro.sim.metrics.BusyWindow`,
-  windowed p99) and answers with a desired fleet size, clamped to
-  ``[min_nodes, max_nodes]``;
+  event) the autoscaler sees a windowed observation per pool
+  (arrivals, completions, rejections, exact busy-time utilization via
+  :class:`~repro.sim.metrics.BusyWindow`, windowed p99) and answers
+  with a desired size, clamped to the pool's ``[min_nodes, max_nodes]``;
 * **failures** — an optional :class:`~repro.sim.failures.FailureTrace`
   injects ``FAIL``/``RECOVER`` events: a failed node drops its queue
   and in-flight batch (counted as failed requests), leaves the owned
   set (so the policy's next tick sees the loss and can order a
   replacement), and rejoins empty on recovery.
 
-Every node replicates the full served-model set — the same convention the
-static :class:`~repro.cluster.planner.CapacityPlanner` uses, since a model
+There is one such loop, over named :class:`NodePool` s.  The
+heterogeneous :class:`~repro.autoscale.hetero.HeteroElasticCluster` runs
+it with a pool per node type; :class:`ElasticCluster` is the same loop
+with one pool of StepStone nodes that each replicate the full
+served-model set — the convention the static
+:class:`~repro.cluster.planner.CapacityPlanner` uses, since a model
 pinned to fewer replicas than nodes would cap elasticity regardless of
 fleet size.  Event ordering is the kernel's documented total order
 (arrivals before control ticks before finishes at equal timestamps,
@@ -38,8 +41,9 @@ policy with the same node count reproduces a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.autoscale.policies import AutoscalePolicy, ControlObservation
 from repro.autoscale.report import AutoscaleReport, ControlSample, NodeLifetime
@@ -52,12 +56,13 @@ from repro.serving.engine import (
     Request,
     ServingReport,
 )
+from repro.serving.nodespec import STEPSTONE_NODE, NodeSpec
 from repro.sim.failures import FailureTrace
 from repro.sim.kernel import DiscreteEventKernel, Event, EventKind
 from repro.sim.metrics import BusyWindow, nearest_rank
 from repro.sim.stats import MetricsRecorder
 
-__all__ = ["ElasticCluster", "NodeState"]
+__all__ = ["ElasticCluster", "NodePool", "NodeState"]
 
 # Node lifecycle states.
 PROVISIONING = "provisioning"
@@ -69,37 +74,91 @@ RETIRED = "retired"
 #: Exposed for introspection/tests.
 NodeState = (PROVISIONING, ACTIVE, DRAINING, FAILED, RETIRED)
 
+#: The name of :class:`ElasticCluster`'s single pool.
+_POOL = "nodes"
+
+
+@dataclass(frozen=True)
+class NodePool:
+    """One node type's elastic pool.
+
+    Args:
+        spec: Hardware of every node in the pool.
+        min_nodes: Lower clamp on the pool's owned size (may be 0 for a
+            burst-only pool).
+        max_nodes: Upper clamp on the pool's owned size.
+        initial_nodes: Pool size at t=0 (within the clamps).
+    """
+
+    spec: NodeSpec
+    min_nodes: int = 0
+    max_nodes: int = 16
+    initial_nodes: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.min_nodes <= self.max_nodes:
+            raise ValueError("need 0 <= min_nodes <= max_nodes")
+        if not self.min_nodes <= self.initial_nodes <= self.max_nodes:
+            raise ValueError("initial_nodes must lie in [min_nodes, max_nodes]")
+
 
 @dataclass
 class _NodeSlot:
-    """One node plus its lifecycle bookkeeping."""
+    """One node plus its lifecycle and window bookkeeping."""
 
     node: ClusterNode
+    pool: str
     state: str
     life: NodeLifetime
     # Exact busy-time integration per control tick.
     busy_window: BusyWindow = field(default_factory=BusyWindow)
     completed_seen: int = 0
     rejected_seen: int = 0
+    #: Requests routed here since the last control tick.
+    arrived: int = 0
 
 
-class ElasticCluster:
-    """A routed fleet whose size an autoscaler adjusts while it serves."""
+class _OnePoolPolicy:
+    """Adapts a homogeneous policy to the per-pool interface."""
 
-    def __init__(
+    def __init__(self, policy: AutoscalePolicy) -> None:
+        self.policy = policy
+        self.name = policy.name
+
+    def reset(self) -> None:
+        self.policy.reset()
+
+    def desired_by_pool(
+        self, obs: Mapping[str, ControlObservation]
+    ) -> Dict[str, int]:
+        return {_POOL: self.policy.desired_nodes(obs[_POOL])}
+
+
+class _PoolFleet:
+    """The elastic loop over named node pools, shared by both fleets.
+
+    A front end validates its own shape, calls :meth:`_configure`, sets
+    ``pools`` (name -> :class:`NodePool`) and ``hosted`` (name -> the
+    models each node of that pool hosts), and runs through :meth:`_run`.
+    """
+
+    #: Label of the loop's telemetry and fast-path fallback counters.
+    _LABEL = ""
+
+    pools: Dict[str, NodePool]
+    hosted: Dict[str, List[str]]
+
+    def _configure(
         self,
-        engine: Optional[OnlineServingEngine] = None,
-        policy: str = "hybrid",
-        router: "Router | str" = "least-loaded",
-        models: Optional[Iterable[str]] = None,
-        initial_nodes: int = 1,
-        min_nodes: int = 1,
-        max_nodes: int = 64,
-        control_interval_s: float = 1.0,
-        provision_base_s: float = 0.15,
-        copy_gbps: float = 10.0,
-        max_batch: Optional[int] = None,
-        record: str = "full",
+        engine: Optional[OnlineServingEngine],
+        policy: str,
+        router: "Router | str",
+        models: Optional[Iterable[str]],
+        control_interval_s: float,
+        provision_base_s: float,
+        copy_gbps: float,
+        max_batch: Optional[int],
+        record: str,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -107,17 +166,11 @@ class ElasticCluster:
             raise ValueError(
                 f"unknown record mode {record!r}; choose 'full' or 'streaming'"
             )
-        self.record = record
-        if initial_nodes <= 0:
-            raise ValueError("need at least one initial node")
-        if not 1 <= min_nodes <= max_nodes:
-            raise ValueError("need 1 <= min_nodes <= max_nodes")
-        if not min_nodes <= initial_nodes <= max_nodes:
-            raise ValueError("initial_nodes must lie in [min_nodes, max_nodes]")
         if control_interval_s <= 0:
             raise ValueError("control interval must be positive")
         if provision_base_s < 0 or copy_gbps <= 0:
             raise ValueError("provision_base_s >= 0 and copy_gbps > 0 required")
+        self.record = record
         self.engine = engine or OnlineServingEngine()
         self.policy = policy
         self.router = make_router(router) if isinstance(router, str) else router
@@ -128,9 +181,6 @@ class ElasticCluster:
         if not names:
             raise ValueError("need at least one served model")
         self.models = names
-        self.initial_nodes = initial_nodes
-        self.min_nodes = min_nodes
-        self.max_nodes = max_nodes
         self.control_interval_s = control_interval_s
         self.provision_base_s = provision_base_s
         self.copy_gbps = copy_gbps
@@ -138,9 +188,9 @@ class ElasticCluster:
         # Run-local state, rebuilt by _fresh().
         self._slots: Dict[int, _NodeSlot] = {}
         self._next_id = 0
-        self._arrived_window = 0
         self._kernel: Optional[DiscreteEventKernel] = None
         self._run_stats: Optional[MetricsRecorder] = None
+        self._pool_stats: Dict[str, MetricsRecorder] = {}
         self._obs_spans = None
         # True while a fast-path run is live: _spawn then equips every
         # node (including mid-run provisions) with a FastRecorder.
@@ -150,17 +200,15 @@ class ElasticCluster:
     # Provisioning model
     # ------------------------------------------------------------------ #
 
-    @property
-    def weight_bytes(self) -> float:
-        """Bytes a new node must copy before serving (all hosted models)."""
+    def _weight_bytes(self, pool: str) -> float:
         return float(
-            sum(self.engine.models[m].total_weight_bytes for m in self.models)
+            sum(self.engine.models[m].total_weight_bytes for m in self.hosted[pool])
         )
 
-    @property
-    def provision_delay_s(self) -> float:
-        """Spin-up plus weight-copy time for one new node."""
-        return self.provision_base_s + self.weight_bytes / (self.copy_gbps * 1e9)
+    def _provision_delay(self, pool: str) -> float:
+        return self.provision_base_s + self._weight_bytes(pool) / (
+            self.copy_gbps * 1e9
+        )
 
     # ------------------------------------------------------------------ #
     # Fleet membership
@@ -169,33 +217,45 @@ class ElasticCluster:
     def _fresh(self) -> None:
         self._slots = {}
         self._next_id = 0
-        self._arrived_window = 0
         self._kernel = DiscreteEventKernel()
         self._run_stats = None
+        self._pool_stats = {}
         if self.record == "streaming":
-            # One run-wide recorder every node recorder chains to; its
-            # window ring is rolled at each control tick, so a streaming
-            # window query sees exactly the completions of that tick.
+            # Node recorders chain to their pool's recorder, and pool
+            # recorders to the run recorder; with one pool the pool
+            # recorder *is* the run recorder, so each completion is
+            # recorded twice, not three times.  Every ring is rolled at
+            # each control tick, so a window query sees exactly the
+            # completions of that tick.
             self._run_stats = MetricsRecorder(record="streaming")
+            if len(self.pools) == 1:
+                self._pool_stats = {p: self._run_stats for p in self.pools}
+            else:
+                self._pool_stats = {
+                    p: MetricsRecorder(record="streaming", parent=self._run_stats)
+                    for p in sorted(self.pools)
+                }
         self.router.reset()
-        for _ in range(self.initial_nodes):
-            self._spawn(0.0, ready_now=True)
+        for pool_name in sorted(self.pools):
+            for _ in range(self.pools[pool_name].initial_nodes):
+                self._spawn(pool_name, 0.0, ready_now=True)
 
-    def _spawn(self, clock: float, ready_now: bool) -> _NodeSlot:
+    def _spawn(self, pool: str, clock: float, ready_now: bool) -> _NodeSlot:
         nid = self._next_id
         self._next_id += 1
         node = ClusterNode(
             node_id=nid,
             engine=self.engine,
             policy=self.policy,
-            models=set(self.models),
+            models=set(self.hosted[pool]),
             max_batch=self.max_batch,
+            spec=self.pools[pool].spec,
         )
         if self.record == "streaming":
             node.report = ServingReport(
                 policy=node.policy,
                 stats=MetricsRecorder(
-                    record="streaming", parent=self._run_stats
+                    record="streaming", parent=self._pool_stats[pool]
                 ),
             )
         elif self._fast_run:
@@ -206,6 +266,7 @@ class ElasticCluster:
         life = NodeLifetime(node_id=nid, ordered_s=clock)
         slot = _NodeSlot(
             node=node,
+            pool=pool,
             state=ACTIVE if ready_now else PROVISIONING,
             life=life,
         )
@@ -214,42 +275,43 @@ class ElasticCluster:
         self._slots[nid] = slot
         return slot
 
-    def _by_state(self, state: str) -> List[_NodeSlot]:
-        return [s for s in self._slots.values() if s.state == state]
-
-    def _active_nodes(self) -> List[ClusterNode]:
+    def _pool_state(self, pool: str, state: str) -> List[_NodeSlot]:
         return [
-            s.node for nid, s in sorted(self._slots.items()) if s.state == ACTIVE
+            s for s in self._slots.values() if s.pool == pool and s.state == state
         ]
 
     def replicas_for(self, model: str) -> List[ClusterNode]:
-        """Routable (active) nodes, id order — full replication, so every
-        active node hosts every served model."""
-        return self._active_nodes()
+        """Routable (active) nodes hosting ``model``, id order."""
+        # Slots are inserted in spawn (= id) order and never removed.
+        return [
+            s.node
+            for s in self._slots.values()
+            if s.state == ACTIVE and model in s.node.models
+        ]
 
     def _retire(self, slot: _NodeSlot, clock: float) -> None:
         slot.state = RETIRED
         if slot.life.retired_s is None:
             slot.life.retired_s = clock
 
-    def _apply_target(self, target: int, clock: float) -> None:
-        """Order, cancel, reactivate, or drain nodes toward ``target``."""
-        owned = self._by_state(ACTIVE) + self._by_state(PROVISIONING)
+    def _apply_pool_target(self, pool: str, target: int, clock: float) -> None:
+        """Order, cancel, reactivate, or drain one pool toward ``target``."""
+        owned = self._pool_state(pool, ACTIVE) + self._pool_state(pool, PROVISIONING)
         delta = target - len(owned)
         if delta > 0:
-            # Cheapest capacity first: un-drain nodes still finishing their
-            # backlog (they re-enter routing instantly, no weight copy).
+            # Cheapest capacity first: un-drain nodes still finishing
+            # their backlog (they re-enter routing instantly, no copy).
             draining = sorted(
-                self._by_state(DRAINING), key=lambda s: -s.node.node_id
+                self._pool_state(pool, DRAINING), key=lambda s: -s.node.node_id
             )
             for slot in draining[:delta]:
                 slot.state = ACTIVE
                 slot.life.drain_s = None
                 delta -= 1
             for _ in range(delta):
-                self._spawn(clock, ready_now=False)
+                self._spawn(pool, clock, ready_now=False)
                 self._kernel.schedule(
-                    clock + self.provision_delay_s,
+                    clock + self._provision_delay(pool),
                     EventKind.READY,
                     self._next_id - 1,
                 )
@@ -258,19 +320,22 @@ class ElasticCluster:
             # Cancel provisioning nodes first (never held traffic), newest
             # first so the earliest-ordered capacity still arrives.
             provisioning = sorted(
-                self._by_state(PROVISIONING), key=lambda s: -s.node.node_id
+                self._pool_state(pool, PROVISIONING), key=lambda s: -s.node.node_id
             )
             for slot in provisioning[:shed]:
                 self._retire(slot, clock)
                 shed -= 1
             if shed > 0:
-                # Drain the emptiest active nodes (newest on ties); keep at
-                # least one active node routable at all times.
+                # Drain the emptiest active nodes (newest on ties).
                 active = sorted(
-                    self._by_state(ACTIVE),
+                    self._pool_state(pool, ACTIVE),
                     key=lambda s: (s.node.backlog(), -s.node.node_id),
                 )
-                can_drain = max(0, len(active) - 1)
+                # A pool with a hosting anchor (min_nodes >= 1) keeps at
+                # least one active node routable at all times; burst
+                # pools may drain to zero.
+                floor = 1 if self.pools[pool].min_nodes >= 1 else 0
+                can_drain = max(0, len(active) - floor)
                 for slot in active[: min(shed, can_drain)]:
                     slot.state = DRAINING
                     slot.life.drain_s = clock
@@ -281,52 +346,19 @@ class ElasticCluster:
     # The simulation
     # ------------------------------------------------------------------ #
 
-    def run(
+    def _run(
         self,
         requests: Iterable[Request],
-        autoscaler: AutoscalePolicy,
-        failures: Optional[FailureTrace] = None,
+        autoscaler,
+        report: AutoscaleReport,
+        failures: Optional[FailureTrace],
+        obs,
+        fast: bool,
         presorted: bool = False,
         horizon_s: Optional[float] = None,
-        obs=None,
-        fast: bool = False,
     ) -> AutoscaleReport:
-        """Serve an arrival-ordered stream while ``autoscaler`` resizes the
-        fleet every control interval.
-
-        Args:
-            requests: Timestamped requests (sorted internally unless
-                ``presorted``).
-            autoscaler: The sizing policy.
-            failures: Optional outage schedule — failed nodes drop their
-                work, leave the owned set (so the policy's next
-                observation sees the loss), and rejoin on recovery.
-            presorted: The stream is already arrival-ordered; consume it
-                *lazily* through the kernel instead of materializing and
-                sorting — with ``record="streaming"`` this is what keeps
-                a 10M-request run's memory flat (requests exist only
-                between generation and completion).  Requires
-                ``horizon_s``.
-            horizon_s: Arrival horizon for a presorted run — control
-                ticks are scheduled up front through ``horizon_s`` plus
-                one trailing interval, since a lazy stream's end is
-                unknown until it drains.
-            obs: Optional :class:`~repro.obs.RunObserver` — every node
-                (including ones provisioned mid-run) emits request
-                lifecycle spans, and the kernel self-profiles when a
-                profiler is attached.  Default off.
-            fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
-                path (bit-identical reports).  Engages for materialized
-                full-recording runs without span tracing on a builtin
-                router; falls back to the event-at-a-time path
-                otherwise.
-
-        Returns:
-            The :class:`~repro.autoscale.report.AutoscaleReport`.
-
-        Raises:
-            ValueError: If ``presorted`` without ``horizon_s``.
-        """
+        """Serve ``requests`` while ``autoscaler`` (a per-pool policy)
+        resizes every pool each control interval; fills ``report``."""
         self._obs_spans = obs.spans if obs is not None else None
         _fast = None
         chooser = None
@@ -349,12 +381,24 @@ class ElasticCluster:
             if _fast is None:
                 from repro.obs.telemetry import record_fast_fallback
 
-                record_fast_fallback("elastic", fb_reason, obs)
+                record_fast_fallback(self._LABEL, fb_reason, obs)
         self._fast_run = _fast is not None
         self._fresh()
         autoscaler.reset()
         kernel = self._kernel
         run_stats = self._run_stats
+        slots = self._slots
+        served = set(self.models)
+
+        def admit(r: Request) -> Request:
+            # Intake check: no node of any pool could ever host ``r``.
+            if r.model not in served:
+                raise ValueError(
+                    f"request {r.req_id} asks for model {r.model!r}, which "
+                    f"this fleet does not serve (it serves {self.models})"
+                )
+            return r
+
         if presorted:
             if horizon_s is None or horizon_s <= 0:
                 raise ValueError("presorted runs need a positive horizon_s")
@@ -362,11 +406,13 @@ class ElasticCluster:
             last_arrival = 0.0
             kernel.preload_stream(
                 Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-                for i, r in enumerate(requests)
+                for i, r in enumerate(map(admit, requests))
             )
             schedule_ticks = True
         else:
-            ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
+            ordered = sorted(
+                map(admit, requests), key=lambda r: (r.arrival_s, r.req_id)
+            )
             last_arrival = ordered[-1].arrival_s if ordered else 0.0
             tick_horizon = last_arrival
             if _fast is None:
@@ -375,12 +421,6 @@ class ElasticCluster:
                     for i, r in enumerate(ordered)
                 )
             schedule_ticks = bool(ordered)
-        report = AutoscaleReport(
-            policy=self.policy,
-            autoscaler=autoscaler.name,
-            control_interval_s=self.control_interval_s,
-            last_arrival_s=last_arrival,
-        )
         # Control ticks cover the offered window plus one trailing interval
         # (so the controller can react to the last window of load); an
         # empty stream needs no controller at all.
@@ -396,12 +436,22 @@ class ElasticCluster:
                 t_tick += self.control_interval_s
         if failures is not None:
             failures.schedule_on(kernel)
+        timeline = getattr(report, "pool_timeline", None)
         state = {
             "last_service_end": 0.0,
             "prev_tick_t": 0.0,
             "last_arrival": last_arrival,
             "n_dropped": 0,
         }
+
+        def unrouted(r: Request, now: float) -> None:
+            # Every replica of the model is down (failed or draining).
+            f = FailedRequest(request=r, failed_at_s=now, reason="unrouted")
+            if run_stats is not None:
+                run_stats.record_failure(f)
+                state["n_dropped"] += 1
+            else:
+                report.dropped.append(f)
 
         def dispatch(slot: _NodeSlot, now: float) -> None:
             finish = slot.node.try_dispatch(now)
@@ -420,26 +470,20 @@ class ElasticCluster:
                 r = ev.payload
                 replicas = self.replicas_for(r.model)
                 if not replicas:
-                    f = FailedRequest(
-                        request=r, failed_at_s=now, reason="unrouted"
-                    )
-                    if run_stats is not None:
-                        run_stats.record_failure(f)
-                        state["n_dropped"] += 1
-                    else:
-                        report.dropped.append(f)
+                    unrouted(r, now)
                     continue
                 node = self.router.route(r, replicas, now)
                 node.enqueue(r)
-                self._arrived_window += 1
-                touched[node.node_id] = self._slots[node.node_id]
+                slot = slots[node.node_id]
+                slot.arrived += 1
+                touched[node.node_id] = slot
             for nid in sorted(touched):
                 if touched[nid].node.idle:
                     dispatch(touched[nid], now)
 
         def on_finishes(now: float, events: List[Event]) -> None:
             for ev in events:
-                slot = self._slots[ev.entity]
+                slot = slots[ev.entity]
                 if ev.payload != slot.node.epoch:
                     continue  # batch was lost to a failure; stale event
                 slot.node.finish_batch(now)
@@ -454,7 +498,7 @@ class ElasticCluster:
 
         def on_readies(now: float, events: List[Event]) -> None:
             for ev in events:
-                slot = self._slots[ev.entity]
+                slot = slots[ev.entity]
                 # A node cancelled while provisioning stays retired; its
                 # ready event is stale.
                 if slot.state == PROVISIONING:
@@ -463,7 +507,7 @@ class ElasticCluster:
 
         def on_fails(now: float, events: List[Event]) -> None:
             for ev in events:
-                slot = self._slots.get(ev.entity)
+                slot = slots.get(ev.entity)
                 if slot is None:
                     continue
                 if slot.state == ACTIVE:
@@ -477,38 +521,55 @@ class ElasticCluster:
 
         def on_recovers(now: float, events: List[Event]) -> None:
             for ev in events:
-                slot = self._slots.get(ev.entity)
+                slot = slots.get(ev.entity)
                 if slot is not None and slot.state == FAILED:
                     slot.state = ACTIVE
 
         def on_control(now: float, events: List[Event]) -> None:
             obs = self._observe(state["prev_tick_t"], now)
             state["prev_tick_t"] = now
-            desired = autoscaler.desired_nodes(obs)
-            target = max(self.min_nodes, min(self.max_nodes, desired))
-            self._apply_target(target, now)
+            desired = autoscaler.desired_by_pool(obs)
+            unknown = sorted(set(desired) - set(self.pools))
+            if unknown:
+                raise ValueError(
+                    f"policy {autoscaler.name!r} targets unknown pools "
+                    f"{unknown}; cluster pools: {sorted(self.pools)}"
+                )
+            targets = 0
+            for pool_name in sorted(self.pools):
+                pool = self.pools[pool_name]
+                want = desired.get(pool_name, obs[pool_name].fleet)
+                target = max(pool.min_nodes, min(pool.max_nodes, want))
+                targets += target
+                self._apply_pool_target(pool_name, target, now)
+            if timeline is not None:
+                row = {"t_s": round(now, 6)}
+                for pool_name in sorted(self.pools):
+                    row[f"{pool_name}_nodes"] = len(
+                        self._pool_state(pool_name, ACTIVE)
+                    ) + len(self._pool_state(pool_name, PROVISIONING))
+                timeline.append(row)
+            agg = self._aggregate(obs)
             report.samples.append(
                 ControlSample(
                     t=now,
-                    active=obs.active,
-                    provisioning=obs.provisioning,
-                    draining=obs.draining,
-                    desired=target,
-                    arrivals=obs.arrivals,
-                    completions=obs.completions,
-                    rejections=obs.rejections,
-                    window_p99_s=obs.window_p99_s,
-                    utilization=obs.utilization,
-                    backlog=obs.backlog,
-                    failed=obs.failed,
+                    active=agg.active,
+                    provisioning=agg.provisioning,
+                    draining=agg.draining,
+                    desired=targets,
+                    arrivals=agg.arrivals,
+                    completions=agg.completions,
+                    rejections=agg.rejections,
+                    window_p99_s=agg.window_p99_s,
+                    utilization=agg.utilization,
+                    backlog=agg.backlog,
+                    failed=agg.failed,
                 )
             )
 
         if _fast is not None:
             _fast.count_run()
             route = chooser.route
-            slots = self._slots
-            dropped = report.dropped
 
             def dispatch_fast(slot: _NodeSlot, now: float) -> bool:
                 finish = slot.node.try_dispatch(now)
@@ -522,35 +583,28 @@ class ElasticCluster:
                 return False
 
             def on_epoch(now: float, lo: int, hi: int) -> bool:
-                state["last_arrival"] = now
                 if hi - lo == 1:
                     r = ordered[lo]
                     node = route(r, now)
                     if node is None:
-                        dropped.append(
-                            FailedRequest(
-                                request=r, failed_at_s=now, reason="unrouted"
-                            )
-                        )
+                        unrouted(r, now)
                         return False
                     node.queue.append(r)
-                    self._arrived_window += 1
+                    slot = slots[node.node_id]
+                    slot.arrived += 1
                     if not node.in_flight:
-                        return dispatch_fast(slots[node.node_id], now)
+                        return dispatch_fast(slot, now)
                     return False
                 touched: Dict[int, _NodeSlot] = {}
                 for r in ordered[lo:hi]:
                     node = route(r, now)
                     if node is None:
-                        dropped.append(
-                            FailedRequest(
-                                request=r, failed_at_s=now, reason="unrouted"
-                            )
-                        )
+                        unrouted(r, now)
                         continue
                     node.queue.append(r)
-                    self._arrived_window += 1
-                    touched[node.node_id] = slots[node.node_id]
+                    slot = slots[node.node_id]
+                    slot.arrived += 1
+                    touched[node.node_id] = slot
                 scheduled = False
                 for nid in sorted(touched):
                     if touched[nid].node.idle and dispatch_fast(
@@ -617,93 +671,244 @@ class ElasticCluster:
         last_arrival = state["last_arrival"]
         report.last_arrival_s = last_arrival
         sim_end = max(state["last_service_end"], last_arrival)
-        for slot in self._slots.values():
+        for slot in slots.values():
             if slot.state != RETIRED:
                 self._retire(slot, sim_end)
         report.sim_end_s = sim_end
         kernel.finalize(report)
         report.n_dropped = state["n_dropped"]
         report.stats = run_stats
-        for nid, slot in sorted(self._slots.items()):
+        for nid, slot in slots.items():
             slot.node.report.sim_end_s = sim_end
             report.node_reports[nid] = slot.node.report
             report.lifetimes[nid] = slot.life
             report.node_busy_s[nid] = slot.node.busy_s
         if obs is not None and obs.telemetry is not None:
             obs.telemetry.record_counts(
-                "elastic",
+                self._LABEL,
                 served=report.served,
                 rejected=report.rejected_count,
                 failed=report.failed_count,
             )
         return report
 
-    def _observe(self, t0: float, t1: float) -> ControlObservation:
-        """Windowed fleet observation over ``(t0, t1]`` (exact busy time)."""
+    def _observe(self, t0: float, t1: float) -> Dict[str, ControlObservation]:
+        """Per-pool windowed observations over ``(t0, t1]`` (exact busy
+        time)."""
         interval = t1 - t0
-        active = self._by_state(ACTIVE)
-        provisioning = self._by_state(PROVISIONING)
-        draining = self._by_state(DRAINING)
         streaming = self._run_stats is not None
-        window_lats: List[float] = []
-        completions = 0
-        rejections = 0
-        busy_window = 0.0
-        backlog = 0
-        for slot in self._slots.values():
-            rep = slot.node.report
-            served_now = rep.served
+        out: Dict[str, ControlObservation] = {}
+        for pool_name in self.pools:
+            counts = dict.fromkeys(NodeState, 0)
+            window_lats: List[float] = []
+            arrivals = 0
+            completions = 0
+            rejections = 0
+            busy_window = 0.0
+            backlog = 0
+            for slot in self._slots.values():
+                if slot.pool != pool_name:
+                    continue
+                counts[slot.state] += 1
+                arrivals += slot.arrived
+                slot.arrived = 0
+                rep = slot.node.report
+                served_now = rep.served
+                if streaming:
+                    completions += served_now - slot.completed_seen
+                else:
+                    new_lats = rep.stats.new_latencies(slot.completed_seen)
+                    completions += len(new_lats)
+                    window_lats.extend(new_lats)
+                slot.completed_seen = served_now
+                rejections += rep.rejected_count - slot.rejected_seen
+                slot.rejected_seen = rep.rejected_count
+                busy_window += slot.busy_window.observe(
+                    slot.node.busy_s,
+                    slot.node.busy_until,
+                    bool(slot.node.in_flight),
+                    t1,
+                )
+                if slot.state not in (RETIRED, FAILED):
+                    backlog += slot.node.backlog()
+            # The numerator sums busy time across every slot (draining
+            # nodes keep serving their backlog), so the denominator must
+            # count the serving set — active plus draining — or every
+            # scale-down tick would read as a saturated pool.  Approximate
+            # across mid-window membership changes; the clamp keeps it a
+            # fraction.
+            n_serving = counts[ACTIVE] + counts[DRAINING]
+            util = 0.0
+            if interval > 0 and n_serving:
+                util = max(0.0, min(1.0, busy_window / (interval * n_serving)))
             if streaming:
-                completions += served_now - slot.completed_seen
+                # The pool recorder's open window holds exactly the
+                # completions since the last tick (CONTROL fires before
+                # FINISH at equal instants, matching the full-mode "new
+                # completions since last tick" semantics); read its p99,
+                # then roll so the next tick starts a fresh window.
+                pool_rec = self._pool_stats[pool_name]
+                window_p99 = pool_rec.window_percentile(99, t0, t1)
+                pool_rec.roll_window(t1)
             else:
-                new_lats = rep.stats.new_latencies(slot.completed_seen)
-                completions += len(new_lats)
-                window_lats.extend(new_lats)
-            slot.completed_seen = served_now
-            rejections += rep.rejected_count - slot.rejected_seen
-            slot.rejected_seen = rep.rejected_count
-            busy_window += slot.busy_window.observe(
-                slot.node.busy_s,
-                slot.node.busy_until,
-                bool(slot.node.in_flight),
-                t1,
+                window_lats.sort()
+                window_p99 = nearest_rank(window_lats, 99)
+            out[pool_name] = ControlObservation(
+                t=t1,
+                interval_s=interval,
+                active=counts[ACTIVE],
+                provisioning=counts[PROVISIONING],
+                draining=counts[DRAINING],
+                arrivals=arrivals,
+                completions=completions,
+                rejections=rejections,
+                window_p99_s=window_p99,
+                utilization=util,
+                backlog=backlog,
+                failed=counts[FAILED],
             )
-            if slot.state not in (RETIRED, FAILED):
-                backlog += slot.node.backlog()
-        n_active = len(active)
-        # The numerator sums busy time across every slot (draining nodes
-        # keep serving their backlog), so the denominator must count the
-        # serving set — active plus draining — or every scale-down tick
-        # would read as a saturated fleet.  Approximate across mid-window
-        # membership changes; the clamp keeps it a fraction.
-        n_serving = n_active + len(draining)
-        util = 0.0
-        if interval > 0 and n_serving:
-            util = max(0.0, min(1.0, busy_window / (interval * n_serving)))
-        window_lats.sort()
         if streaming:
-            # The run recorder's open window holds exactly the
-            # completions since the last tick (CONTROL fires before
-            # FINISH at equal instants, matching the full-mode
-            # "new completions since last tick" semantics); read its
-            # p99, then roll so the next tick starts a fresh window.
-            window_p99 = self._run_stats.window_percentile(99, t0, t1)
+            # A no-op when the single pool's recorder is the run's.
             self._run_stats.roll_window(t1)
-        else:
-            window_p99 = nearest_rank(window_lats, 99)
-        obs = ControlObservation(
-            t=t1,
-            interval_s=interval,
-            active=n_active,
-            provisioning=len(provisioning),
-            draining=len(draining),
-            arrivals=self._arrived_window,
-            completions=completions,
-            rejections=rejections,
-            window_p99_s=window_p99,
+        return out
+
+    @staticmethod
+    def _aggregate(obs: Mapping[str, ControlObservation]) -> ControlObservation:
+        """Fleet-wide view of one tick (for the shared timeline format)."""
+        if len(obs) == 1:
+            # Re-weighting u*n/n does not round-trip every float.
+            return next(iter(obs.values()))
+        some = next(iter(obs.values()))
+        servings = sum(o.active + o.draining for o in obs.values())
+        util = 0.0
+        if servings:
+            util = (
+                sum(o.utilization * (o.active + o.draining) for o in obs.values())
+                / servings
+            )
+        p99s = [o.window_p99_s for o in obs.values() if o.window_p99_s == o.window_p99_s]
+        return ControlObservation(
+            t=some.t,
+            interval_s=some.interval_s,
+            active=sum(o.active for o in obs.values()),
+            provisioning=sum(o.provisioning for o in obs.values()),
+            draining=sum(o.draining for o in obs.values()),
+            arrivals=sum(o.arrivals for o in obs.values()),
+            completions=sum(o.completions for o in obs.values()),
+            rejections=sum(o.rejections for o in obs.values()),
+            window_p99_s=max(p99s) if p99s else math.nan,
             utilization=util,
-            backlog=backlog,
-            failed=len(self._by_state(FAILED)),
+            backlog=sum(o.backlog for o in obs.values()),
+            failed=sum(o.failed for o in obs.values()),
         )
-        self._arrived_window = 0
-        return obs
+
+
+class ElasticCluster(_PoolFleet):
+    """A routed fleet whose size an autoscaler adjusts while it serves.
+
+    One pool of StepStone nodes, each hosting every served model.
+    """
+
+    _LABEL = "elastic"
+
+    def __init__(
+        self,
+        engine: Optional[OnlineServingEngine] = None,
+        policy: str = "hybrid",
+        router: "Router | str" = "least-loaded",
+        models: Optional[Iterable[str]] = None,
+        initial_nodes: int = 1,
+        min_nodes: int = 1,
+        max_nodes: int = 64,
+        control_interval_s: float = 1.0,
+        provision_base_s: float = 0.15,
+        copy_gbps: float = 10.0,
+        max_batch: Optional[int] = None,
+        record: str = "full",
+    ) -> None:
+        if initial_nodes <= 0:
+            raise ValueError("need at least one initial node")
+        if not 1 <= min_nodes <= max_nodes:
+            raise ValueError("need 1 <= min_nodes <= max_nodes")
+        if not min_nodes <= initial_nodes <= max_nodes:
+            raise ValueError("initial_nodes must lie in [min_nodes, max_nodes]")
+        self._configure(
+            engine, policy, router, models, control_interval_s,
+            provision_base_s, copy_gbps, max_batch, record,
+        )
+        self.initial_nodes = initial_nodes
+        self.min_nodes = min_nodes
+        self.max_nodes = max_nodes
+        self.pools = {
+            _POOL: NodePool(STEPSTONE_NODE, min_nodes, max_nodes, initial_nodes)
+        }
+        self.hosted = {_POOL: list(self.models)}
+
+    @property
+    def weight_bytes(self) -> float:
+        """Bytes a new node must copy before serving (all hosted models)."""
+        return self._weight_bytes(_POOL)
+
+    @property
+    def provision_delay_s(self) -> float:
+        """Spin-up plus weight-copy time for one new node."""
+        return self._provision_delay(_POOL)
+
+    def run(
+        self,
+        requests: Iterable[Request],
+        autoscaler: AutoscalePolicy,
+        failures: Optional[FailureTrace] = None,
+        presorted: bool = False,
+        horizon_s: Optional[float] = None,
+        obs=None,
+        fast: bool = False,
+    ) -> AutoscaleReport:
+        """Serve an arrival-ordered stream while ``autoscaler`` resizes the
+        fleet every control interval.
+
+        Args:
+            requests: Timestamped requests (sorted internally unless
+                ``presorted``).
+            autoscaler: The sizing policy.
+            failures: Optional outage schedule — failed nodes drop their
+                work, leave the owned set (so the policy's next
+                observation sees the loss), and rejoin on recovery.
+            presorted: The stream is already arrival-ordered; consume it
+                *lazily* through the kernel instead of materializing and
+                sorting — with ``record="streaming"`` this is what keeps
+                a 10M-request run's memory flat (requests exist only
+                between generation and completion).  Requires
+                ``horizon_s``.
+            horizon_s: Arrival horizon for a presorted run — control
+                ticks are scheduled up front through ``horizon_s`` plus
+                one trailing interval, since a lazy stream's end is
+                unknown until it drains.
+            obs: Optional :class:`~repro.obs.RunObserver` — every node
+                (including ones provisioned mid-run) emits request
+                lifecycle spans, and the kernel self-profiles when a
+                profiler is attached.  Default off.
+            fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
+                path (bit-identical reports).  Engages for materialized
+                full-recording runs without span tracing on a builtin
+                router; falls back to the event-at-a-time path
+                otherwise.
+
+        Returns:
+            The :class:`~repro.autoscale.report.AutoscaleReport`.
+
+        Raises:
+            ValueError: If ``presorted`` without ``horizon_s``, or if a
+                request asks for a model the fleet does not serve (before
+                any event runs for a list; as it is pulled for a
+                presorted stream).
+        """
+        report = AutoscaleReport(
+            policy=self.policy,
+            autoscaler=autoscaler.name,
+            control_interval_s=self.control_interval_s,
+        )
+        return self._run(
+            requests, _OnePoolPolicy(autoscaler), report, failures, obs, fast,
+            presorted, horizon_s,
+        )

@@ -8,13 +8,15 @@ the autoscaler.  That is the datacenter shape the paper's cross-substrate
 comparison implies: cheap StepStone sockets carry the baseline load while
 expensive, high-throughput GPU nodes are rented only for the peak.
 
-* :class:`NodePool` — bounds and initial size of one node type's pool;
-* :class:`HeteroElasticCluster` — the discrete-event simulator: the same
-  node lifecycle as the homogeneous elastic fleet (provisioning with a
-  weight-copy delay, draining, retiring, control ticks), but membership,
-  hosting, and scaling decisions are per pool.  Each pool hosts the
-  served models that fit its spec's memory (largest first), so a 12 GB
-  GPU pool naturally skips datacenter-scale weights;
+* :class:`NodePool` — bounds and initial size of one node type's pool
+  (defined with the shared loop in :mod:`repro.autoscale.elastic`);
+* :class:`HeteroElasticCluster` — the discrete-event simulator.  It is
+  a front end on the one elastic loop (provisioning with a weight-copy
+  delay, draining, retiring, control ticks) that
+  :class:`~repro.autoscale.elastic.ElasticCluster` runs with a single
+  pool; here membership, hosting, and scaling decisions are per pool.
+  Each pool hosts the served models that fit its spec's memory (largest
+  first), so a 12 GB GPU pool naturally skips datacenter-scale weights;
 * :class:`HeteroAutoscalePolicy` and friends — policies that answer with
   a per-pool target: a static mix, per-pool wrappers around the
   homogeneous policies, and :class:`BaselineBurstPolicy` (fixed baseline
@@ -30,22 +32,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
+from repro.autoscale.elastic import NodePool, _PoolFleet
 from repro.autoscale.policies import AutoscalePolicy, ControlObservation
-from repro.autoscale.report import AutoscaleReport, ControlSample, NodeLifetime
-from repro.cluster.node import ClusterNode
+from repro.autoscale.report import AutoscaleReport
 from repro.cluster.placement import ModelPlacement
-from repro.cluster.router import Router, make_router
-from repro.serving.engine import (
-    POLICIES,
-    FailedRequest,
-    OnlineServingEngine,
-    Request,
-    ServingReport,
-)
+from repro.cluster.router import Router
+from repro.serving.engine import OnlineServingEngine, Request
 from repro.serving.nodespec import NodeSpec
 from repro.sim.failures import FailureTrace
-from repro.sim.kernel import DiscreteEventKernel, Event, EventKind
-from repro.sim.metrics import BusyWindow, nearest_rank
 from repro.sim.stats import MetricsRecorder
 
 __all__ = [
@@ -57,37 +51,6 @@ __all__ = [
     "HeteroAutoscaleReport",
     "HeteroElasticCluster",
 ]
-
-# Node lifecycle states (shared vocabulary with the homogeneous fleet).
-PROVISIONING = "provisioning"
-ACTIVE = "active"
-DRAINING = "draining"
-FAILED = "failed"
-RETIRED = "retired"
-
-
-@dataclass(frozen=True)
-class NodePool:
-    """One node type's elastic pool.
-
-    Args:
-        spec: Hardware of every node in the pool.
-        min_nodes: Lower clamp on the pool's owned size (may be 0 for a
-            burst-only pool).
-        max_nodes: Upper clamp on the pool's owned size.
-        initial_nodes: Pool size at t=0 (within the clamps).
-    """
-
-    spec: NodeSpec
-    min_nodes: int = 0
-    max_nodes: int = 16
-    initial_nodes: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.min_nodes <= self.max_nodes:
-            raise ValueError("need 0 <= min_nodes <= max_nodes")
-        if not self.min_nodes <= self.initial_nodes <= self.max_nodes:
-            raise ValueError("initial_nodes must lie in [min_nodes, max_nodes]")
 
 
 class HeteroAutoscalePolicy:
@@ -313,28 +276,14 @@ class HeteroAutoscaleReport(AutoscaleReport):
         return f"{base}, ${self.cost_usd:.4f} (${self.mean_hourly_cost:.2f}/hr)"
 
 
-@dataclass
-class _PoolSlot:
-    """One node plus its lifecycle and window bookkeeping."""
-
-    node: ClusterNode
-    pool: str
-    state: str
-    life: NodeLifetime
-    busy_window: BusyWindow = field(default_factory=BusyWindow)
-    completed_seen: int = 0
-    rejected_seen: int = 0
-
-
-class HeteroElasticCluster:
+class HeteroElasticCluster(_PoolFleet):
     """A mixed-substrate fleet whose per-pool sizes an autoscaler drives.
 
-    Event ordering matches the homogeneous fleets exactly (arrivals
-    before finishes at equal timestamps, finishes tie-broken by node id),
-    and a run under :class:`StaticMixPolicy` with a single all-StepStone
-    pool reproduces the homogeneous
-    :class:`~repro.autoscale.elastic.ElasticCluster` under a static
-    policy.
+    It runs the same loop as the homogeneous
+    :class:`~repro.autoscale.elastic.ElasticCluster` (which is this fleet
+    with one pool), so event ordering, lifecycle, and observation
+    semantics are shared exactly; membership, hosting, and scaling
+    decisions are per pool.
 
     Args:
         pools: Pool name -> :class:`NodePool` (name keys the policies and
@@ -353,6 +302,8 @@ class HeteroElasticCluster:
         max_batch: Per-node batch cap; defaults to the engine's.
     """
 
+    _LABEL = "hetero"
+
     def __init__(
         self,
         pools: Mapping[str, NodePool],
@@ -368,43 +319,22 @@ class HeteroElasticCluster:
     ) -> None:
         if not pools:
             raise ValueError("need at least one pool")
-        if record not in ("full", "streaming"):
-            raise ValueError(
-                f"unknown record mode {record!r}; choose 'full' or 'streaming'"
-            )
-        self.record = record
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-        if control_interval_s <= 0:
-            raise ValueError("control interval must be positive")
-        if provision_base_s < 0 or copy_gbps <= 0:
-            raise ValueError("provision_base_s >= 0 and copy_gbps > 0 required")
-        self.engine = engine or OnlineServingEngine()
-        self.policy = policy
-        self.router = make_router(router) if isinstance(router, str) else router
-        names = sorted(models) if models is not None else sorted(self.engine.models)
-        unknown = [m for m in names if m not in self.engine.models]
-        if unknown:
-            raise KeyError(f"models unknown to the engine: {unknown}")
-        if not names:
-            raise ValueError("need at least one served model")
-        self.models = names
+        self._configure(
+            engine, policy, router, models, control_interval_s,
+            provision_base_s, copy_gbps, max_batch, record,
+        )
         self.pools: Dict[str, NodePool] = dict(pools)
-        self.control_interval_s = control_interval_s
-        self.provision_base_s = provision_base_s
-        self.copy_gbps = copy_gbps
-        self.max_batch = max_batch
         # Each pool hosts the served models that fit its spec's memory —
         # the same saturating rule the hetero capacity planner places by.
         pool_order = list(self.pools)
         placement = ModelPlacement.saturate(
-            {m: self.engine.models[m] for m in names},
+            {m: self.engine.models[m] for m in self.models},
             [self.pools[p].spec for p in pool_order],
         )
         self.hosted: Dict[str, List[str]] = {
             p: placement.models_on(i) for i, p in enumerate(pool_order)
         }
-        for m in names:
+        for m in self.models:
             anchors = [
                 p
                 for p, pool in self.pools.items()
@@ -417,162 +347,14 @@ class HeteroElasticCluster:
                 )
         if sum(p.initial_nodes for p in self.pools.values()) <= 0:
             raise ValueError("need at least one initial node across pools")
-        # Run-local state, rebuilt by _fresh().
-        self._slots: Dict[int, _PoolSlot] = {}
-        self._next_id = 0
-        self._arrived_window: Dict[str, int] = {}
-        self._kernel: Optional[DiscreteEventKernel] = None
-        self._run_stats: Optional[MetricsRecorder] = None
-        self._pool_stats: Dict[str, MetricsRecorder] = {}
-        self._obs_spans = None
-        # True while a fast-path run is live: _spawn then equips every
-        # node (including mid-run provisions) with a FastRecorder.
-        self._fast_run = False
-
-    # ------------------------------------------------------------------ #
-    # Provisioning model
-    # ------------------------------------------------------------------ #
 
     def pool_weight_bytes(self, pool: str) -> float:
         """Bytes a new node of ``pool`` copies before serving."""
-        return float(
-            sum(self.engine.models[m].total_weight_bytes for m in self.hosted[pool])
-        )
+        return self._weight_bytes(pool)
 
     def provision_delay_s(self, pool: str) -> float:
         """Spin-up plus weight-copy seconds for one new ``pool`` node."""
-        return self.provision_base_s + self.pool_weight_bytes(pool) / (
-            self.copy_gbps * 1e9
-        )
-
-    # ------------------------------------------------------------------ #
-    # Fleet membership
-    # ------------------------------------------------------------------ #
-
-    def _fresh(self) -> None:
-        self._slots = {}
-        self._next_id = 0
-        self._arrived_window = {p: 0 for p in self.pools}
-        self._kernel = DiscreteEventKernel()
-        self._run_stats = None
-        self._pool_stats = {}
-        if self.record == "streaming":
-            # Three aggregation levels, one chain: node recorder ->
-            # pool recorder -> run recorder.  Pool rings answer the
-            # per-pool windowed p99 the policies observe; all rings are
-            # rolled at every control tick.
-            self._run_stats = MetricsRecorder(record="streaming")
-            self._pool_stats = {
-                p: MetricsRecorder(record="streaming", parent=self._run_stats)
-                for p in sorted(self.pools)
-            }
-        self.router.reset()
-        for pool_name in sorted(self.pools):
-            for _ in range(self.pools[pool_name].initial_nodes):
-                self._spawn(pool_name, 0.0, ready_now=True)
-
-    def _spawn(self, pool: str, clock: float, ready_now: bool) -> _PoolSlot:
-        nid = self._next_id
-        self._next_id += 1
-        node = ClusterNode(
-            node_id=nid,
-            engine=self.engine,
-            policy=self.policy,
-            models=set(self.hosted[pool]),
-            max_batch=self.max_batch,
-            spec=self.pools[pool].spec,
-        )
-        if self.record == "streaming":
-            node.report = ServingReport(
-                policy=node.policy,
-                stats=MetricsRecorder(
-                    record="streaming", parent=self._pool_stats[pool]
-                ),
-            )
-        elif self._fast_run:
-            from repro.sim.fast import FastRecorder
-
-            node.report = ServingReport(policy=node.policy, stats=FastRecorder())
-        node.obs_spans = self._obs_spans
-        life = NodeLifetime(node_id=nid, ordered_s=clock)
-        slot = _PoolSlot(
-            node=node,
-            pool=pool,
-            state=ACTIVE if ready_now else PROVISIONING,
-            life=life,
-        )
-        if ready_now:
-            life.ready_s = clock
-        self._slots[nid] = slot
-        return slot
-
-    def _pool_state(self, pool: str, state: str) -> List[_PoolSlot]:
-        return [
-            s for s in self._slots.values() if s.pool == pool and s.state == state
-        ]
-
-    def replicas_for(self, model: str) -> List[ClusterNode]:
-        """Routable (active) nodes hosting ``model``, id order."""
-        return [
-            s.node
-            for nid, s in sorted(self._slots.items())
-            if s.state == ACTIVE and model in s.node.models
-        ]
-
-    def _retire(self, slot: _PoolSlot, clock: float) -> None:
-        slot.state = RETIRED
-        if slot.life.retired_s is None:
-            slot.life.retired_s = clock
-
-    def _apply_pool_target(self, pool: str, target: int, clock: float) -> None:
-        """Order, cancel, reactivate, or drain one pool toward ``target``."""
-        owned = self._pool_state(pool, ACTIVE) + self._pool_state(pool, PROVISIONING)
-        delta = target - len(owned)
-        if delta > 0:
-            # Cheapest capacity first: un-drain nodes still finishing
-            # their backlog (they re-enter routing instantly, no copy).
-            draining = sorted(
-                self._pool_state(pool, DRAINING), key=lambda s: -s.node.node_id
-            )
-            for slot in draining[:delta]:
-                slot.state = ACTIVE
-                slot.life.drain_s = None
-                delta -= 1
-            for _ in range(delta):
-                self._spawn(pool, clock, ready_now=False)
-                self._kernel.schedule(
-                    clock + self.provision_delay_s(pool),
-                    EventKind.READY,
-                    self._next_id - 1,
-                )
-        elif delta < 0:
-            shed = -delta
-            # Cancel provisioning nodes first (never held traffic).
-            provisioning = sorted(
-                self._pool_state(pool, PROVISIONING), key=lambda s: -s.node.node_id
-            )
-            for slot in provisioning[:shed]:
-                self._retire(slot, clock)
-                shed -= 1
-            if shed > 0:
-                active = sorted(
-                    self._pool_state(pool, ACTIVE),
-                    key=lambda s: (s.node.backlog(), -s.node.node_id),
-                )
-                # A pool with a hosting anchor (min_nodes >= 1) keeps at
-                # least one active node routable at all times; burst
-                # pools may drain to zero.
-                floor = 1 if self.pools[pool].min_nodes >= 1 else 0
-                can_drain = max(0, len(active) - floor)
-                for slot in active[: min(shed, can_drain)]:
-                    slot.state = DRAINING
-                    slot.life.drain_s = clock
-                    if slot.node.idle and not slot.node.queue:
-                        self._retire(slot, clock)
-
-    # ------------------------------------------------------------------ #
-    # The simulation
-    # ------------------------------------------------------------------ #
+        return self._provision_delay(pool)
 
     def run(
         self,
@@ -602,390 +384,19 @@ class HeteroElasticCluster:
 
         Returns:
             The :class:`HeteroAutoscaleReport` for the run.
+
+        Raises:
+            ValueError: If a request asks for a model the fleet does not
+                serve (before any event runs), or the policy targets a
+                pool the fleet does not have.
         """
-        self._obs_spans = obs.spans if obs is not None else None
-        _fast = None
-        chooser = None
-        if fast:
-            if self.record != "full":
-                fb_reason = "streaming-record"
-            elif self._obs_spans is not None:
-                fb_reason = "spans"
-            else:
-                from repro.sim import fast as _fast_mod
-
-                chooser = _fast_mod.make_chooser(self.router, self.replicas_for)
-                if chooser is not None:
-                    _fast = _fast_mod
-                    fb_reason = None
-                else:
-                    fb_reason = "custom-router"
-            if _fast is None:
-                from repro.obs.telemetry import record_fast_fallback
-
-                record_fast_fallback("hetero", fb_reason, obs)
-        self._fast_run = _fast is not None
-        self._fresh()
-        autoscaler.reset()
-        kernel = self._kernel
-        run_stats = self._run_stats
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
-        last_arrival = ordered[-1].arrival_s if ordered else 0.0
         report = HeteroAutoscaleReport(
             policy=self.policy,
             autoscaler=autoscaler.name,
             control_interval_s=self.control_interval_s,
-            last_arrival_s=last_arrival,
             pool_specs={p: pool.spec for p, pool in self.pools.items()},
         )
-        if _fast is None:
-            kernel.preload(
-                Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-                for i, r in enumerate(ordered)
-            )
-        if ordered:
-            t_tick = self.control_interval_s
-            tick = 1
-            while t_tick <= last_arrival + self.control_interval_s:
-                kernel.schedule(t_tick, EventKind.CONTROL, tick)
-                tick += 1
-                t_tick += self.control_interval_s
-        if failures is not None:
-            failures.schedule_on(kernel)
-        state = {"last_service_end": 0.0, "prev_tick_t": 0.0, "n_dropped": 0}
-
-        def dispatch(slot: _PoolSlot, now: float) -> None:
-            finish = slot.node.try_dispatch(now)
-            if finish is not None:
-                kernel.schedule(
-                    finish, EventKind.FINISH, slot.node.node_id,
-                    payload=slot.node.epoch,
-                )
-
-        def on_arrivals(now: float, events: List[Event]) -> None:
-            touched: Dict[int, ClusterNode] = {}
-            for ev in events:
-                r = ev.payload
-                replicas = self.replicas_for(r.model)
-                if not replicas:
-                    f = FailedRequest(
-                        request=r, failed_at_s=now, reason="unrouted"
-                    )
-                    if run_stats is not None:
-                        run_stats.record_failure(f)
-                        state["n_dropped"] += 1
-                    else:
-                        report.dropped.append(f)
-                    continue
-                node = self.router.route(r, replicas, now)
-                node.enqueue(r)
-                self._arrived_window[self._slots[node.node_id].pool] += 1
-                touched[node.node_id] = node
-            for nid in sorted(touched):
-                if touched[nid].idle:
-                    dispatch(self._slots[nid], now)
-
-        def on_finishes(now: float, events: List[Event]) -> None:
-            for ev in events:
-                slot = self._slots[ev.entity]
-                if ev.payload != slot.node.epoch:
-                    continue  # batch was lost to a failure; stale event
-                slot.node.finish_batch(now)
-                state["last_service_end"] = now
-                dispatch(slot, now)
-                if (
-                    slot.state == DRAINING
-                    and slot.node.idle
-                    and not slot.node.queue
-                ):
-                    self._retire(slot, now)
-
-        def on_readies(now: float, events: List[Event]) -> None:
-            for ev in events:
-                slot = self._slots[ev.entity]
-                if slot.state == PROVISIONING:
-                    slot.state = ACTIVE
-                    slot.life.ready_s = now
-
-        def on_fails(now: float, events: List[Event]) -> None:
-            for ev in events:
-                slot = self._slots.get(ev.entity)
-                if slot is None:
-                    continue
-                if slot.state == ACTIVE:
-                    slot.node.fail(now)
-                    slot.state = FAILED
-                elif slot.state == DRAINING:
-                    slot.node.fail(now)
-                    self._retire(slot, now)
-
-        def on_recovers(now: float, events: List[Event]) -> None:
-            for ev in events:
-                slot = self._slots.get(ev.entity)
-                if slot is not None and slot.state == FAILED:
-                    slot.state = ACTIVE
-
-        def on_control(now: float, events: List[Event]) -> None:
-            obs = self._observe(state["prev_tick_t"], now)
-            state["prev_tick_t"] = now
-            desired = autoscaler.desired_by_pool(obs)
-            unknown = sorted(set(desired) - set(self.pools))
-            if unknown:
-                raise ValueError(
-                    f"policy {autoscaler.name!r} targets unknown pools "
-                    f"{unknown}; cluster pools: {sorted(self.pools)}"
-                )
-            timeline_row: Dict[str, Any] = {"t_s": round(now, 6)}
-            targets: Dict[str, int] = {}
-            for pool_name in sorted(self.pools):
-                pool = self.pools[pool_name]
-                want = desired.get(pool_name, obs[pool_name].fleet)
-                target = max(pool.min_nodes, min(pool.max_nodes, want))
-                targets[pool_name] = target
-                self._apply_pool_target(pool_name, target, now)
-                timeline_row[f"{pool_name}_nodes"] = (
-                    len(self._pool_state(pool_name, ACTIVE))
-                    + len(self._pool_state(pool_name, PROVISIONING))
-                )
-            report.pool_timeline.append(timeline_row)
-            agg = self._aggregate(obs)
-            report.samples.append(
-                ControlSample(
-                    t=now,
-                    active=agg.active,
-                    provisioning=agg.provisioning,
-                    draining=agg.draining,
-                    desired=sum(targets.values()),
-                    arrivals=agg.arrivals,
-                    completions=agg.completions,
-                    rejections=agg.rejections,
-                    window_p99_s=agg.window_p99_s,
-                    utilization=agg.utilization,
-                    backlog=agg.backlog,
-                    failed=agg.failed,
-                )
-            )
-
-        if _fast is not None:
-            _fast.count_run()
-            route = chooser.route
-            slots = self._slots
-            arrived = self._arrived_window
-            dropped = report.dropped
-
-            def dispatch_fast(slot: _PoolSlot, now: float) -> bool:
-                finish = slot.node.try_dispatch(now)
-                chooser.invalidate_backlogs()
-                if finish is not None:
-                    kernel.schedule(
-                        finish, EventKind.FINISH, slot.node.node_id,
-                        payload=slot.node.epoch,
-                    )
-                    return True
-                return False
-
-            def on_epoch(now: float, lo: int, hi: int) -> bool:
-                if hi - lo == 1:
-                    r = ordered[lo]
-                    node = route(r, now)
-                    if node is None:
-                        dropped.append(
-                            FailedRequest(
-                                request=r, failed_at_s=now, reason="unrouted"
-                            )
-                        )
-                        return False
-                    node.queue.append(r)
-                    slot = slots[node.node_id]
-                    arrived[slot.pool] += 1
-                    if not node.in_flight:
-                        return dispatch_fast(slot, now)
-                    return False
-                touched: Dict[int, _PoolSlot] = {}
-                for r in ordered[lo:hi]:
-                    node = route(r, now)
-                    if node is None:
-                        dropped.append(
-                            FailedRequest(
-                                request=r, failed_at_s=now, reason="unrouted"
-                            )
-                        )
-                        continue
-                    node.queue.append(r)
-                    slot = slots[node.node_id]
-                    arrived[slot.pool] += 1
-                    touched[node.node_id] = slot
-                scheduled = False
-                for nid in sorted(touched):
-                    if touched[nid].node.idle and dispatch_fast(
-                        touched[nid], now
-                    ):
-                        scheduled = True
-                return scheduled
-
-            def on_finishes_fast(now: float, events: List[Event]) -> None:
-                for ev in events:
-                    slot = slots[ev.entity]
-                    node = slot.node
-                    if ev.payload != node.epoch:
-                        continue  # batch was lost to a failure; stale event
-                    node.report.stats.record_batch(
-                        node._dispatch_s, now, node.in_flight
-                    )
-                    node.in_flight = []
-                    state["last_service_end"] = now
-                    dispatch_fast(slot, now)
-                    if (
-                        slot.state == DRAINING
-                        and node.idle
-                        and not node.queue
-                    ):
-                        self._retire(slot, now)
-
-            def cold(handler):
-                def wrapped(now: float, events: List[Event]) -> None:
-                    handler(now, events)
-                    chooser.invalidate_all()
-
-                return wrapped
-
-            _fast.drain(
-                kernel,
-                _fast.arrival_times(ordered),
-                on_epoch,
-                {
-                    int(EventKind.FINISH): on_finishes_fast,
-                    int(EventKind.READY): cold(on_readies),
-                    int(EventKind.CONTROL): cold(on_control),
-                    int(EventKind.FAIL): cold(on_fails),
-                    int(EventKind.RECOVER): cold(on_recovers),
-                },
-                profiler=getattr(obs, "profile", None) if obs is not None else None,
-            )
-        else:
-            kernel.run(
-                {
-                    EventKind.ARRIVAL: on_arrivals,
-                    EventKind.FINISH: on_finishes,
-                    EventKind.READY: on_readies,
-                    EventKind.CONTROL: on_control,
-                    EventKind.FAIL: on_fails,
-                    EventKind.RECOVER: on_recovers,
-                },
-                obs=obs,
-            )
-        sim_end = max(state["last_service_end"], last_arrival)
-        for slot in self._slots.values():
-            if slot.state != RETIRED:
-                self._retire(slot, sim_end)
-        report.sim_end_s = sim_end
-        kernel.finalize(report)
-        report.n_dropped = state["n_dropped"]
-        report.stats = run_stats
+        self._run(requests, autoscaler, report, failures, obs, fast)
         report.pool_stats = dict(self._pool_stats)
-        for nid, slot in sorted(self._slots.items()):
-            slot.node.report.sim_end_s = sim_end
-            report.node_reports[nid] = slot.node.report
-            report.lifetimes[nid] = slot.life
-            report.node_busy_s[nid] = slot.node.busy_s
-            report.node_pool[nid] = slot.pool
-        if obs is not None and obs.telemetry is not None:
-            obs.telemetry.record_counts(
-                "hetero",
-                served=report.served,
-                rejected=report.rejected_count,
-                failed=report.failed_count,
-            )
+        report.node_pool = {nid: s.pool for nid, s in self._slots.items()}
         return report
-
-    def _observe(self, t0: float, t1: float) -> Dict[str, ControlObservation]:
-        """Per-pool windowed observations over ``(t0, t1]``."""
-        interval = t1 - t0
-        streaming = self._run_stats is not None
-        out: Dict[str, ControlObservation] = {}
-        for pool_name in self.pools:
-            window_lats: List[float] = []
-            completions = 0
-            rejections = 0
-            busy_window = 0.0
-            backlog = 0
-            for slot in self._slots.values():
-                if slot.pool != pool_name:
-                    continue
-                rep = slot.node.report
-                served_now = rep.served
-                if streaming:
-                    completions += served_now - slot.completed_seen
-                else:
-                    new_lats = rep.stats.new_latencies(slot.completed_seen)
-                    completions += len(new_lats)
-                    window_lats.extend(new_lats)
-                slot.completed_seen = served_now
-                rejections += rep.rejected_count - slot.rejected_seen
-                slot.rejected_seen = rep.rejected_count
-                busy_window += slot.busy_window.observe(
-                    slot.node.busy_s,
-                    slot.node.busy_until,
-                    bool(slot.node.in_flight),
-                    t1,
-                )
-                if slot.state not in (RETIRED, FAILED):
-                    backlog += slot.node.backlog()
-            n_active = len(self._pool_state(pool_name, ACTIVE))
-            n_draining = len(self._pool_state(pool_name, DRAINING))
-            n_serving = n_active + n_draining
-            util = 0.0
-            if interval > 0 and n_serving:
-                util = max(0.0, min(1.0, busy_window / (interval * n_serving)))
-            window_lats.sort()
-            if streaming:
-                pool_rec = self._pool_stats[pool_name]
-                window_p99 = pool_rec.window_percentile(99, t0, t1)
-                pool_rec.roll_window(t1)
-            else:
-                window_p99 = nearest_rank(window_lats, 99)
-            out[pool_name] = ControlObservation(
-                t=t1,
-                interval_s=interval,
-                active=n_active,
-                provisioning=len(self._pool_state(pool_name, PROVISIONING)),
-                draining=n_draining,
-                arrivals=self._arrived_window[pool_name],
-                completions=completions,
-                rejections=rejections,
-                window_p99_s=window_p99,
-                utilization=util,
-                backlog=backlog,
-                failed=len(self._pool_state(pool_name, FAILED)),
-            )
-            self._arrived_window[pool_name] = 0
-        if streaming:
-            self._run_stats.roll_window(t1)
-        return out
-
-    @staticmethod
-    def _aggregate(obs: Mapping[str, ControlObservation]) -> ControlObservation:
-        """Fleet-wide view of one tick (for the shared timeline format)."""
-        some = next(iter(obs.values()))
-        servings = sum(o.active + o.draining for o in obs.values())
-        util = 0.0
-        if servings:
-            util = (
-                sum(o.utilization * (o.active + o.draining) for o in obs.values())
-                / servings
-            )
-        p99s = [o.window_p99_s for o in obs.values() if o.window_p99_s == o.window_p99_s]
-        return ControlObservation(
-            t=some.t,
-            interval_s=some.interval_s,
-            active=sum(o.active for o in obs.values()),
-            provisioning=sum(o.provisioning for o in obs.values()),
-            draining=sum(o.draining for o in obs.values()),
-            arrivals=sum(o.arrivals for o in obs.values()),
-            completions=sum(o.completions for o in obs.values()),
-            rejections=sum(o.rejections for o in obs.values()),
-            window_p99_s=max(p99s) if p99s else math.nan,
-            utilization=util,
-            backlog=sum(o.backlog for o in obs.values()),
-            failed=sum(o.failed for o in obs.values()),
-        )

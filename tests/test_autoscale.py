@@ -23,7 +23,7 @@ from repro.autoscale import (
     node_capacity_rps,
 )
 from repro.cluster import CapacityPlanner, Cluster, ModelPlacement
-from repro.serving import OnlineServingEngine, poisson_requests
+from repro.serving import OnlineServingEngine, Request, poisson_requests
 
 
 @pytest.fixture(scope="module")
@@ -601,6 +601,16 @@ class TestStreamingRecord:
                 getattr(rep, attr)
         assert rep.record == "streaming"
 
+    def test_node_recorders_chain_straight_to_the_run(self, eng):
+        cap = node_capacity_rps(eng, MIX, "hybrid")
+        rep = self._cluster(eng, "streaming").run(
+            self._stream(8.0), TargetUtilizationPolicy(cap, target=0.7)
+        )
+        assert len(rep.node_reports) > 1
+        for nr in rep.node_reports.values():
+            assert nr.stats.parent is rep.stats
+        assert rep.stats.completed_count == rep.served > 0
+
     def test_lazy_presorted_run_matches_eager(self, eng):
         from repro.autoscale import mix_request_stream
 
@@ -632,3 +642,55 @@ class TestStreamingRecord:
             self._cluster(eng, "streaming").run(
                 iter([]), StaticPolicy(1), presorted=True
             )
+
+
+class _SpyPolicy(StaticPolicy):
+    """A static policy that counts its control ticks."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        self.ticks = 0
+
+    def desired_nodes(self, obs):
+        self.ticks += 1
+        return super().desired_nodes(obs)
+
+
+class TestUnservedModels:
+    """A request for a model the fleet does not serve is rejected at
+    intake with one error, on the reference and the fast path alike."""
+
+    @staticmethod
+    def _stream():
+        # The unserved request arrives last, after several control ticks
+        # would have fired had the run started.
+        return poisson_requests("BERT", 50.0, 1.0, seed=1) + [
+            Request(req_id=777, model="DLRM", arrival_s=1.5)
+        ]
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_eager_list_raises_before_any_event(self, eng, fast):
+        cluster = ElasticCluster(
+            engine=eng, models=["BERT"], control_interval_s=0.25
+        )
+        spy = _SpyPolicy(1)
+        with pytest.raises(ValueError, match=r"request 777 .*'DLRM'"):
+            cluster.run(self._stream(), spy, fast=fast)
+        assert spy.ticks == 0
+
+    @pytest.mark.parametrize("record", ["full", "streaming"])
+    def test_presorted_stream_raises_as_pulled(self, eng, record):
+        cluster = ElasticCluster(
+            engine=eng, models=["BERT"], control_interval_s=0.25, record=record
+        )
+        pulled = []
+
+        def stream():
+            for r in self._stream():
+                pulled.append(r.req_id)
+                yield r
+
+        with pytest.raises(ValueError, match=r"request 777 .*'DLRM'"):
+            cluster.run(stream(), StaticPolicy(1), presorted=True, horizon_s=2.0)
+        assert pulled[-1] == 777
+        assert len(pulled) == len(self._stream())

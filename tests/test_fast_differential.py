@@ -17,7 +17,10 @@ ones at the harness on every push (``FAST_DIFF_SEEDS=a,b,c``, see the
 default matrix — seeds 0..4 across all four serving loops, plus the
 router sweep — already exercises >20 distinct scenarios: every router,
 SLO and no-SLO mixes, scripted outages, elastic scale events, and
-hetero pool churn.
+hetero pool churn.  The same seeds drive
+``test_one_pool_hetero_matches_elastic``, which pins the full report of
+an :class:`ElasticCluster` to a one-pool :class:`HeteroElasticCluster`
+in both record modes and on both paths.
 
 The analytic M/G/k model (``repro.sim.analytic``) is cross-checked at
 the bottom: it is an *approximation*, so those tests assert tolerance
@@ -37,6 +40,7 @@ from repro.autoscale import (
     ElasticCluster,
     HeteroElasticCluster,
     NodePool,
+    PerPoolPolicy,
     mix_requests,
 )
 from repro.autoscale.policies import TargetUtilizationPolicy, node_capacity_rps
@@ -307,6 +311,83 @@ def test_hetero_fast_matches_slow(engine, seed):
     assert_elastic_identical(slow, fast)
     assert slow.pool_timeline == fast.pool_timeline
     assert slow.node_pool == fast.node_pool
+
+
+def _nan_free(x):
+    return None if x != x else x
+
+
+def sample_key(s):
+    """A ControlSample as a tuple with NaN mapped to None (NaN != NaN)."""
+    return tuple(_nan_free(v) for v in vars(s).values())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_pool_hetero_matches_elastic(engine, seed):
+    """A one-pool hetero fleet under ``PerPoolPolicy`` is the elastic
+    fleet: the whole report agrees, in both record modes and on both
+    paths (a streaming ``fast=True`` run falls back in both loops)."""
+    sc = Scenario(seed)
+    stream = sc.stream()
+    initial = 1 + seed % 3
+    pol = TargetUtilizationPolicy(
+        capacity_rps=node_capacity_rps(engine, sc.mix, sc.policy),
+        target=0.7,
+    )
+    for record in ("full", "streaming"):
+        el = ElasticCluster(
+            engine=engine,
+            policy=sc.policy,
+            router=sc.router,
+            models=sorted(sc.mix),
+            initial_nodes=initial,
+            max_nodes=6,
+            control_interval_s=0.5,
+            record=record,
+        )
+        hc = HeteroElasticCluster(
+            pools={
+                "stepstone": NodePool(
+                    STEPSTONE_NODE,
+                    min_nodes=1,
+                    max_nodes=6,
+                    initial_nodes=initial,
+                )
+            },
+            engine=engine,
+            policy=sc.policy,
+            router=sc.router,
+            models=sorted(sc.mix),
+            control_interval_s=0.5,
+            record=record,
+        )
+        for fast in (False, True):
+            label = (seed, record, fast)
+            a = el.run(stream, pol, failures=sc.failures(), fast=fast)
+            b = hc.run(
+                stream,
+                PerPoolPolicy({"stepstone": pol}),
+                failures=sc.failures(),
+                fast=fast,
+            )
+            if record == "full":
+                assert_elastic_identical(a, b)
+            assert [sample_key(s) for s in a.samples] == [
+                sample_key(s) for s in b.samples
+            ], label
+            assert {
+                k: (v.ordered_s, v.ready_s, v.drain_s, v.retired_s)
+                for k, v in a.lifetimes.items()
+            } == {
+                k: (v.ordered_s, v.ready_s, v.drain_s, v.retired_s)
+                for k, v in b.lifetimes.items()
+            }, label
+            assert a.node_busy_s == b.node_busy_s, label
+            assert a.events_processed == b.events_processed, label
+            assert a.sim_end_s == b.sim_end_s, label
+            assert _nan_free(a.p99_s) == _nan_free(b.p99_s), label
+            assert a.served == b.served, label
+            assert a.dropped_count == b.dropped_count, label
 
 
 def test_every_router_covered_by_default_matrix():

@@ -400,6 +400,21 @@ class TestHeteroElastic:
                 StaticMixPolicy({"stepstone": 2, "gpu-burst": 1}),
             )
 
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_unserved_model_raises_at_intake(self, eng, fast):
+        """A request for a model no pool serves is rejected before any
+        event runs (not dropped as "unrouted", which means every replica
+        is down), on the reference and the fast path alike."""
+        cluster = HeteroElasticCluster(
+            _pools(), engine=eng, models=["BERT"], control_interval_s=0.5
+        )
+        reqs = poisson_requests("BERT", 50.0, 1.0, seed=1) + [
+            Request(req_id=777, model="DLRM", arrival_s=1.5)
+        ]
+        policy = StaticMixPolicy({"stepstone": 2})
+        with pytest.raises(ValueError, match=r"request 777 .*'DLRM'"):
+            cluster.run(reqs, policy, fast=fast)
+
     def test_static_mix_matches_static_cluster_quality(self, eng):
         """A static all-stepstone mix serves the stream exactly like the
         static fleet (same engine, same event ordering)."""
@@ -551,6 +566,40 @@ class TestHeteroStreamingRecord:
             sum(r.completed_count for r in stream.pool_stats.values())
             == stream.served
         )
+
+    def test_one_pool_chains_nodes_straight_to_the_run(self, eng):
+        """With one pool the pool recorder is the run recorder, so every
+        completion is recorded twice (node, run), not three times."""
+        pools = {"stepstone": self._pools()["stepstone"]}
+        rep = HeteroElasticCluster(
+            pools,
+            engine=eng,
+            models=["BERT", "DLRM"],
+            control_interval_s=0.5,
+            record="streaming",
+        ).run(
+            _mix_stream(duration_s=3.0, rate=200.0),
+            PerPoolPolicy({"stepstone": self._policy(eng).policies["stepstone"]}),
+        )
+        assert rep.pool_stats["stepstone"] is rep.stats
+        assert rep.node_reports
+        for nr in rep.node_reports.values():
+            assert nr.stats.parent is rep.stats
+        assert rep.stats.completed_count == rep.served > 0
+
+    def test_multi_pool_keeps_distinct_pool_recorders(self, eng):
+        rep = HeteroElasticCluster(
+            self._pools(),
+            engine=eng,
+            models=["BERT", "DLRM"],
+            control_interval_s=0.5,
+            record="streaming",
+        ).run(_mix_stream(duration_s=3.0, rate=200.0), self._policy(eng))
+        pool_recs = rep.pool_stats.values()
+        assert len({id(r) for r in pool_recs}) == 2
+        assert all(r is not rep.stats and r.parent is rep.stats for r in pool_recs)
+        for nid, nr in rep.node_reports.items():
+            assert nr.stats.parent is rep.pool_stats[rep.node_pool[nid]]
 
     def test_streaming_refuses_per_request_access(self, eng):
         from repro.sim import RecordingModeError
