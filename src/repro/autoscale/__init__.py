@@ -7,9 +7,9 @@ stationary Poisson stream):
 * :mod:`~repro.autoscale.traces` — deterministic request-rate traces
   (diurnal, MMPP on-off bursts, flash-crowd spikes, ramps, file replay)
   and seeded non-homogeneous Poisson stream generation via thinning;
-* :mod:`~repro.autoscale.elastic` — the elastic fleet simulator: nodes
-  provision (weight-copy delay), drain, and retire mid-run under a
-  control loop;
+* :mod:`~repro.autoscale.elastic` — the elastic fleet: nodes provision
+  (weight-copy delay), drain, and retire mid-run under a control loop
+  (a front end on the :mod:`repro.cluster.pool` fleet loop);
 * :mod:`~repro.autoscale.policies` — autoscaler policies behind one
   protocol: reactive target-utilization, windowed p99-SLO feedback with
   floor memory, predictive trace lookahead, and the static baseline;

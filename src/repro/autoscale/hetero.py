@@ -9,9 +9,9 @@ comparison implies: cheap StepStone sockets carry the baseline load while
 expensive, high-throughput GPU nodes are rented only for the peak.
 
 * :class:`NodePool` — bounds and initial size of one node type's pool
-  (defined with the shared loop in :mod:`repro.autoscale.elastic`);
+  (defined with the shared loop in :mod:`repro.cluster.pool`);
 * :class:`HeteroElasticCluster` — the discrete-event simulator.  It is
-  a front end on the one elastic loop (provisioning with a weight-copy
+  a front end on the one fleet loop (provisioning with a weight-copy
   delay, draining, retiring, control ticks) that
   :class:`~repro.autoscale.elastic.ElasticCluster` runs with a single
   pool; here membership, hosting, and scaling decisions are per pool.
@@ -32,10 +32,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from repro.autoscale.elastic import NodePool, _PoolFleet
 from repro.autoscale.policies import AutoscalePolicy, ControlObservation
 from repro.autoscale.report import AutoscaleReport
 from repro.cluster.placement import ModelPlacement
+from repro.cluster.pool import NodePool, PoolFleet
 from repro.cluster.router import Router
 from repro.serving.engine import OnlineServingEngine, Request
 from repro.serving.nodespec import NodeSpec
@@ -276,7 +276,7 @@ class HeteroAutoscaleReport(AutoscaleReport):
         return f"{base}, ${self.cost_usd:.4f} (${self.mean_hourly_cost:.2f}/hr)"
 
 
-class HeteroElasticCluster(_PoolFleet):
+class HeteroElasticCluster(PoolFleet):
     """A mixed-substrate fleet whose per-pool sizes an autoscaler drives.
 
     It runs the same loop as the homogeneous

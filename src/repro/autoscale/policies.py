@@ -29,10 +29,10 @@ restores the initial state before a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.autoscale.traces import RateTrace
+from repro.cluster.pool import ControlObservation
 from repro.serving.engine import OnlineServingEngine
 from repro.serving.nodespec import NodeSpec
 
@@ -45,44 +45,6 @@ __all__ = [
     "PredictiveTracePolicy",
     "node_capacity_rps",
 ]
-
-
-@dataclass(frozen=True)
-class ControlObservation:
-    """What the autoscaler sees at one control tick."""
-
-    #: Tick instant (end of the observation window), seconds.
-    t: float
-    #: Window length, seconds.
-    interval_s: float
-    #: Node counts by lifecycle state at the tick.
-    active: int
-    provisioning: int
-    draining: int
-    #: Requests routed / completed / rejected during the window.
-    arrivals: int
-    completions: int
-    rejections: int
-    #: Nearest-rank p99 latency of the window's completions (NaN if none).
-    window_p99_s: float
-    #: Busy fraction of the serving set (active + draining nodes) over the
-    #: window, clamped to [0, 1]; approximate while membership changes.
-    utilization: float
-    #: Queued + in-flight requests across the fleet at the tick.
-    backlog: int
-    #: Nodes down with an injected failure at the tick (they left the
-    #: owned set, so a fixed desired size orders a replacement).
-    failed: int = 0
-
-    @property
-    def fleet(self) -> int:
-        """Nodes owned at the tick (active + still provisioning)."""
-        return self.active + self.provisioning
-
-    @property
-    def offered_rps(self) -> float:
-        """Arrival rate measured over the window, req/s."""
-        return self.arrivals / self.interval_s if self.interval_s > 0 else 0.0
 
 
 class AutoscalePolicy:

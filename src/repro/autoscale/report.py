@@ -1,9 +1,14 @@
 """Cost and SLO accounting for one elastic-fleet run.
 
 The static fleet's report answers "what latency at what throughput"; the
-elastic question adds "at what *cost*".  :class:`AutoscaleReport` keeps
-the per-node serving reports (same objects the cluster layer produces),
-the node lifecycle records, and the control-tick timeline, and derives:
+elastic question adds "at what *cost*".  Both share one serving-quality
+core, :class:`~repro.cluster.fleet.FleetReport` (counts, percentiles,
+goodput, availability).  :class:`AutoscaleReport` is its elastic view:
+it keeps the per-node serving reports by node id, the node lifecycle
+records and the control-tick timeline (the
+:class:`~repro.cluster.pool.NodeLifetime` and
+:class:`~repro.cluster.pool.ControlSample` types the fleet loop builds,
+re-exported here), and derives:
 
 * **node-seconds** — machine time paid for, provisioning included (a node
   copying weights is a node on the bill);
@@ -21,17 +26,13 @@ the node lifecycle records, and the control-tick timeline, and derives:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
+from repro.cluster.fleet import FleetReport
+from repro.cluster.pool import ControlSample, NodeLifetime
 from repro.energy.model import ENERGY_TABLE2, EnergyTable
-from repro.serving.engine import (
-    CompletedRequest,
-    FailedRequest,
-    RejectedRequest,
-    ServingReport,
-)
-from repro.sim.metrics import nearest_rank, window_latencies
-from repro.sim.stats import MetricsRecorder, RecordingModeError
+from repro.serving.engine import FailedRequest, ServingReport
+from repro.sim.stats import MetricsRecorder
 
 __all__ = [
     "NodeLifetime",
@@ -39,57 +40,6 @@ __all__ = [
     "FleetPowerModel",
     "AutoscaleReport",
 ]
-
-
-@dataclass
-class NodeLifetime:
-    """One node's lifecycle timestamps (NaN-free: None = never happened)."""
-
-    node_id: int
-    #: When the node was ordered (starts paying) — 0.0 for the initial fleet.
-    ordered_s: float
-    #: When it finished provisioning and joined the routing set.
-    ready_s: Optional[float] = None
-    #: When it stopped taking new requests.
-    drain_s: Optional[float] = None
-    #: When it finished its backlog and left the fleet.
-    retired_s: Optional[float] = None
-
-    def seconds(self, sim_end_s: float) -> float:
-        """Paid machine time: ordered to retired (or to the end of the run)."""
-        end = self.retired_s if self.retired_s is not None else sim_end_s
-        return max(0.0, end - self.ordered_s)
-
-
-@dataclass(frozen=True)
-class ControlSample:
-    """One control tick of the autoscale timeline."""
-
-    t: float
-    active: int
-    provisioning: int
-    draining: int
-    desired: int
-    arrivals: int
-    completions: int
-    rejections: int
-    window_p99_s: float
-    utilization: float
-    backlog: int
-    failed: int = 0
-
-    def as_row(self, interval_s: float) -> Dict[str, Any]:
-        """A chart/table row (rates in req/s, p99 in ms)."""
-        return {
-            "t_s": round(self.t, 6),
-            "nodes": self.active,
-            "provisioning": self.provisioning,
-            "failed": self.failed,
-            "offered_rps": self.arrivals / interval_s if interval_s > 0 else 0.0,
-            "goodput_rps": self.completions / interval_s if interval_s > 0 else 0.0,
-            "p99_ms": self.window_p99_s * 1e3,
-            "util": self.utilization,
-        }
 
 
 @dataclass(frozen=True)
@@ -149,15 +99,13 @@ class FleetPowerModel:
 
 
 @dataclass
-class AutoscaleReport:
+class AutoscaleReport(FleetReport):
     """Outcome of one elastic run: serving quality plus machine cost.
 
-    In ``record="full"`` runs per-request records are reachable through
-    the node reports and statistics are exact; in ``record="streaming"``
-    runs the ``stats`` recorder (parent of every node recorder the run
-    created) answers run-wide percentiles from sketches and the
-    per-request list properties raise
-    :class:`~repro.sim.stats.RecordingModeError`.
+    The serving-quality vocabulary (counts, percentiles, goodput,
+    availability, both record modes) is the shared
+    :class:`~repro.cluster.fleet.FleetReport` core, read over the node
+    reports of every node the run ever owned.
     """
 
     policy: str
@@ -178,146 +126,14 @@ class AutoscaleReport:
     events_processed: int = 0
     #: The run-wide recorder of a streaming run (``None`` on full runs).
     stats: Optional[MetricsRecorder] = None
-    _lat_memo: tuple = field(default=(-1, ()), repr=False, compare=False)
 
-    @property
-    def record(self) -> str:
-        """The recording mode this report was accumulated under."""
-        if self.stats is not None:
-            return self.stats.record
-        return "full"
-
-    @property
-    def _streaming(self) -> bool:
-        return self.stats is not None and self.stats.record == "streaming"
-
-    # ------------------------------------------------------------------ #
-    # Serving quality (same vocabulary as ClusterReport)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def completed(self) -> List[CompletedRequest]:
-        """Every completed request across the run (node order;
-        ``record="full"`` only)."""
-        return [c for rep in self.node_reports.values() for c in rep.completed]
-
-    @property
-    def rejected(self) -> List[RejectedRequest]:
-        """Every admission-rejected request across the run (node order;
-        ``record="full"`` only)."""
-        return [r for rep in self.node_reports.values() for r in rep.rejected]
-
-    @property
-    def failed(self) -> List[FailedRequest]:
-        """Every request lost to node failures (node order), plus
-        arrivals no surviving replica could take (``record="full"``
-        only)."""
-        return [
-            f for rep in self.node_reports.values() for f in rep.failed
-        ] + self.dropped
-
-    @property
-    def served(self) -> int:
-        """Total completed requests."""
-        return sum(rep.served for rep in self.node_reports.values())
-
-    @property
-    def dropped_count(self) -> int:
-        """Arrivals dropped with no routable node (works in both modes)."""
-        return len(self.dropped) + self.n_dropped
-
-    @property
-    def rejected_count(self) -> int:
-        """Run-wide admission rejections (works in both modes)."""
-        return sum(rep.rejected_count for rep in self.node_reports.values())
-
-    @property
-    def failed_count(self) -> int:
-        """Run-wide failure losses, unrouted drops included (both modes)."""
-        return (
-            sum(rep.failed_count for rep in self.node_reports.values())
-            + self.dropped_count
-        )
-
-    @property
-    def offered(self) -> int:
-        """Total requests the fleet saw (completed + rejected + failed)."""
-        return sum(
-            rep.offered for rep in self.node_reports.values()
-        ) + self.dropped_count
+    def _nodes(self) -> Iterable[ServingReport]:
+        return self.node_reports.values()
 
     @property
     def shed_fraction(self) -> float:
         """Fraction of offered requests rejected at admission."""
         return self.rejected_count / self.offered if self.offered else 0.0
-
-    @property
-    def availability(self) -> float:
-        """Fraction of offered requests that completed — goodput share
-        surviving both admission shedding and failure losses (1.0 for an
-        empty run)."""
-        if self.offered == 0:
-            return 1.0
-        return self.served / self.offered
-
-    @property
-    def latencies_s(self) -> List[float]:
-        """Run-wide completed latencies, ascending (memoized per node
-        mutation; ``record="full"`` only)."""
-        if self._streaming:
-            raise RecordingModeError(
-                "the run-wide latency list is unavailable in streaming mode "
-                "— use latency_percentile(); re-run with record='full' for "
-                "per-request records"
-            )
-        key = (
-            self.served,
-            sum(rep.completed.version for rep in self.node_reports.values()),
-        )
-        version, memo = self._lat_memo
-        if version != key:
-            memo = sorted(c.latency_s for c in self.completed)
-            self._lat_memo = (key, memo)
-        return memo
-
-    def latency_percentile(self, q: float) -> float:
-        """Percentile of run-wide completed latency: exact nearest-rank
-        on full runs, sketch estimate on streaming runs.
-
-        Args:
-            q: Percentile in (0, 100].
-
-        Returns:
-            Latency seconds (NaN when nothing completed).
-        """
-        if self._streaming:
-            return self.stats.percentile(q)
-        return nearest_rank(self.latencies_s, q)
-
-    def window_percentile(self, q: float, start_s: float, end_s: float) -> float:
-        """Run-wide latency percentile over completions finishing in the
-        window — exact on full runs; answered from the run recorder's
-        window ring (rolled at every control tick) on streaming runs."""
-        if self._streaming:
-            return self.stats.window_percentile(q, start_s, end_s)
-        return nearest_rank(window_latencies(self.completed, start_s, end_s), q)
-
-    @property
-    def p50_s(self) -> float:
-        """Median run-wide latency, seconds."""
-        return self.latency_percentile(50)
-
-    @property
-    def p99_s(self) -> float:
-        """99th-percentile run-wide latency, seconds."""
-        return self.latency_percentile(99)
-
-    @property
-    def goodput_rps(self) -> float:
-        """Completions per second of the offered arrival window."""
-        if self.last_arrival_s <= 0:
-            return 0.0
-        return self.served / self.last_arrival_s
 
     # ------------------------------------------------------------------ #
     # Cost

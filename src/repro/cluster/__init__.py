@@ -10,8 +10,11 @@ above :mod:`repro.serving` — many nodes on one shared simulated clock:
   join-shortest-queue, model affinity with replica spillover);
 * :mod:`~repro.cluster.node` — one StepStone node: queue, FIFO per-model
   batching, SLO admission, and the per-node dispatch policy;
-* :mod:`~repro.cluster.fleet` — the discrete-event fleet simulator and its
-  aggregated :class:`~repro.cluster.fleet.ClusterReport`;
+* :mod:`~repro.cluster.pool` — the one fleet event loop (routing, node
+  lifecycle, optional control ticks, failures) that every fleet runs;
+* :mod:`~repro.cluster.fleet` — the static fleet front end on that loop,
+  the report core every fleet report shares, and its aggregated
+  :class:`~repro.cluster.fleet.ClusterReport`;
 * :mod:`~repro.cluster.planner` — capacity planning: the minimum node
   count sustaining a target load at a p99 SLO, and the heterogeneous
   cost-minimizing search (`HeteroCapacityPlanner`) over mixed

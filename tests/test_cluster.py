@@ -1,6 +1,10 @@
 """Tests for the multi-node fleet layer (`repro.cluster`)."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -282,6 +286,65 @@ class TestClusterRuns:
         assert rep.served == 0 and len(rep.rejected) == 6
         assert math.isnan(rep.window_percentile(99, 0.0, 100.0))
         assert math.isnan(rep.p99_s)
+
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("router", ["affinity", "round-robin"])
+    def test_routing_follows_placement_order(self, eng, router, fast):
+        """Replicas are tried in placement order (primary first), not in
+        node-id order: a lone request lands on the primary, node 1."""
+        placement = ModelPlacement(replicas={"BERT": [1, 0]}, used_bytes={})
+        cluster = Cluster(2, engine=eng, router=router, placement=placement)
+        rep = cluster.run([Request(0, "BERT", 0.0)], fast=fast)
+        assert rep.served_per_node() == [0, 1]
+
+
+class TestUnplacedModels:
+    """A request for a model no node hosts is rejected at intake with
+    the pool fleets' error, before any event runs, on every path."""
+
+    @staticmethod
+    def _stream():
+        return [
+            Request(0, "BERT", 0.0),
+            Request(1, "DLRM", 0.5),
+            Request(2, "BERT", 1.0),
+        ]
+
+    @pytest.mark.parametrize(
+        "record, fast",
+        [("full", False), ("full", True), ("streaming", False)],
+        ids=["reference", "fast", "streaming"],
+    )
+    def test_raises_before_any_event(self, eng, record, fast):
+        placement = ModelPlacement(replicas={"BERT": [0, 1]}, used_bytes={})
+        cluster = Cluster(2, engine=eng, placement=placement, record=record)
+        with pytest.raises(ValueError, match=r"request 1 .*'DLRM'"):
+            cluster.run(self._stream(), fast=fast)
+        assert all(n.busy_s == 0.0 for n in cluster.nodes)
+        assert all(n.report.offered == 0 for n in cluster.nodes)
+
+
+@pytest.mark.parametrize(
+    "first, second", [("cluster", "autoscale"), ("autoscale", "cluster")]
+)
+def test_fleet_packages_import_in_either_order(first, second):
+    """``repro.cluster`` sits below ``repro.autoscale``: importing either
+    one first in a fresh interpreter must succeed (a cycle between them
+    shows only when ``repro.cluster`` is imported first)."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import repro.{first}; import repro.{second}",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 class TestCapacityPlanner:

@@ -18,9 +18,12 @@ default matrix — seeds 0..4 across all four serving loops, plus the
 router sweep — already exercises >20 distinct scenarios: every router,
 SLO and no-SLO mixes, scripted outages, elastic scale events, and
 hetero pool churn.  The same seeds drive
-``test_one_pool_hetero_matches_elastic``, which pins the full report of
-an :class:`ElasticCluster` to a one-pool :class:`HeteroElasticCluster`
-in both record modes and on both paths.
+the two full-report equivalence tests, in both record modes and on
+both paths: ``test_one_pool_hetero_matches_elastic`` pins an
+:class:`ElasticCluster` to a one-pool :class:`HeteroElasticCluster`,
+and ``test_cluster_matches_static_elastic`` pins a full-replication
+:class:`Cluster` to an :class:`ElasticCluster` held at the same size by
+a static policy.
 
 The analytic M/G/k model (``repro.sim.analytic``) is cross-checked at
 the bottom: it is an *approximation*, so those tests assert tolerance
@@ -43,8 +46,12 @@ from repro.autoscale import (
     PerPoolPolicy,
     mix_requests,
 )
-from repro.autoscale.policies import TargetUtilizationPolicy, node_capacity_rps
-from repro.cluster import Cluster
+from repro.autoscale.policies import (
+    StaticPolicy,
+    TargetUtilizationPolicy,
+    node_capacity_rps,
+)
+from repro.cluster import Cluster, ModelPlacement
 from repro.serving import (
     GPU_NODE,
     STEPSTONE_NODE,
@@ -388,6 +395,71 @@ def test_one_pool_hetero_matches_elastic(engine, seed):
             assert _nan_free(a.p99_s) == _nan_free(b.p99_s), label
             assert a.served == b.served, label
             assert a.dropped_count == b.dropped_count, label
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cluster_matches_static_elastic(engine, seed):
+    """A full-replication :class:`Cluster` of ``n`` nodes is the elastic
+    fleet held at ``n`` by a static policy: the whole report agrees, in
+    both record modes and on both paths, except that the elastic run
+    also processes one CONTROL event per sample.  Outages are left out:
+    an elastic fleet orders a replacement for a failed node, a static
+    one does not."""
+    sc = Scenario(seed)
+    stream = sc.stream()
+    n = 1 + seed % 3
+    models = sorted(sc.mix)
+    # Replicas in id order, as the elastic fleet routes them.
+    placement = ModelPlacement(
+        replicas={m: list(range(n)) for m in models}, used_bytes={}
+    )
+    for record in ("full", "streaming"):
+        cl = Cluster(
+            n,
+            engine=engine,
+            policy=sc.policy,
+            router=sc.router,
+            placement=placement,
+            record=record,
+        )
+        el = ElasticCluster(
+            engine=engine,
+            policy=sc.policy,
+            router=sc.router,
+            models=models,
+            initial_nodes=n,
+            min_nodes=n,
+            max_nodes=n,
+            control_interval_s=0.5,
+            record=record,
+        )
+        for fast in (False, True):
+            label = (seed, record, fast)
+            a = cl.run(stream, fast=fast)
+            b = el.run(stream, StaticPolicy(n), fast=fast)
+            assert sorted(b.node_reports) == list(range(n)), label
+            pairs = [(a.node_reports[i], b.node_reports[i]) for i in range(n)]
+            if record == "full":
+                for i, (ra, rb) in enumerate(pairs):
+                    assert_reports_identical(ra, rb, (label, i))
+            assert [ra.served for ra, _ in pairs] == [
+                rb.served for _, rb in pairs
+            ], label
+            assert [ra.rejected_count for ra, _ in pairs] == [
+                rb.rejected_count for _, rb in pairs
+            ], label
+            assert a.node_busy_s == [b.node_busy_s[i] for i in range(n)], label
+            assert a.sim_end_s == b.sim_end_s, label
+            assert a.last_arrival_s == b.last_arrival_s, label
+            assert (a.served, a.rejected_count, a.failed_count, a.offered) == (
+                b.served, b.rejected_count, b.failed_count, b.offered
+            ), label
+            assert _nan_free(a.p50_s) == _nan_free(b.p50_s), label
+            assert _nan_free(a.p99_s) == _nan_free(b.p99_s), label
+            assert a.goodput_rps == b.goodput_rps, label
+            assert a.availability == b.availability, label
+            assert len(b.samples) > 0, label
+            assert b.events_processed - a.events_processed == len(b.samples), label
 
 
 def test_every_router_covered_by_default_matrix():
