@@ -8,8 +8,6 @@ above :mod:`repro.serving` — many nodes on one shared simulated clock:
   assignment of model weights to nodes;
 * :mod:`~repro.cluster.router` — pluggable request routing (round-robin,
   join-shortest-queue, model affinity with replica spillover);
-* :mod:`~repro.cluster.node` — one StepStone node: queue, FIFO per-model
-  batching, SLO admission, and the per-node dispatch policy;
 * :mod:`~repro.cluster.pool` — the one fleet event loop (routing, node
   lifecycle, optional control ticks, failures) that every fleet runs;
 * :mod:`~repro.cluster.fleet` — the static fleet front end on that loop,
@@ -20,14 +18,16 @@ above :mod:`repro.serving` — many nodes on one shared simulated clock:
   cost-minimizing search (`HeteroCapacityPlanner`) over mixed
   CPU/GPU/StepStone fleets.
 
-Nodes need not be StepStone: every node carries a
+Each node is a :class:`~repro.serving.node.ClusterNode` (queue, FIFO
+per-model batching, SLO admission), the same state machine the
+single-node engine drives; it is re-exported here.  Nodes need not be
+StepStone: every node carries a
 :class:`~repro.serving.NodeSpec` (backend, memory, $/hr, power), and an
 all-StepStone spec list reproduces the homogeneous fleet request for
 request.
 """
 
 from repro.cluster.fleet import Cluster, ClusterReport
-from repro.cluster.node import ClusterNode
 from repro.cluster.placement import (
     DEFAULT_NODE_CAPACITY_BYTES,
     ModelPlacement,
@@ -48,6 +48,7 @@ from repro.cluster.router import (
     Router,
     make_router,
 )
+from repro.serving.node import ClusterNode
 
 __all__ = [
     "Cluster",

@@ -2,7 +2,7 @@
 
 ``Cluster`` composes the pieces — a :class:`~repro.cluster.placement.ModelPlacement`
 deciding which nodes can serve which model, a :class:`~repro.cluster.router.Router`
-deciding where each arrival goes, and :class:`~repro.cluster.node.ClusterNode`
+deciding where each arrival goes, and :class:`~repro.serving.node.ClusterNode`
 instances that batch and serve locally.  It is the fixed-size front end
 of the one fleet loop in :mod:`repro.cluster.pool`: one pool, each node
 built from its own spec and placed models, each model's replicas tried
@@ -11,8 +11,10 @@ ticks.  At equal timestamps arrivals are processed first (matching the
 single-node engine, which drains arrivals up to the clock before
 dispatching), and finish events tie-break by node id.
 
-A one-node cluster reproduces :meth:`OnlineServingEngine.run` exactly —
-the fleet layer adds routing and placement, not new service semantics.
+A one-node cluster is :meth:`OnlineServingEngine.run` by construction:
+both drive the one :class:`~repro.serving.node.ClusterNode` state
+machine, so the fleet layer adds routing and placement, not new service
+semantics.
 Heterogeneity is additive the same way: passing ``specs`` (one
 :class:`~repro.serving.NodeSpec` per node) swaps each node's hardware
 latency model, and a fleet of all-StepStone specs reproduces the
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.cluster.node import ClusterNode
 from repro.cluster.placement import (
     DEFAULT_NODE_CAPACITY_BYTES,
     ModelPlacement,
@@ -46,6 +47,7 @@ from repro.serving.engine import (
     Request,
     ServingReport,
 )
+from repro.serving.node import ClusterNode
 from repro.serving.nodespec import STEPSTONE_NODE, NodeSpec
 from repro.sim.failures import FailureTrace
 from repro.sim.metrics import nearest_rank, window_latencies

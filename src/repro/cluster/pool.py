@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.cluster.node import ClusterNode
 from repro.cluster.router import Router, make_router
 from repro.serving.engine import (
     POLICIES,
@@ -58,12 +57,14 @@ from repro.serving.engine import (
     OnlineServingEngine,
     Request,
     ServingReport,
+    check_max_batch,
 )
+from repro.serving.node import ClusterNode
 from repro.serving.nodespec import NodeSpec
 from repro.sim.failures import FailureTrace
 from repro.sim.kernel import DiscreteEventKernel, Event, EventKind
 from repro.sim.metrics import BusyWindow, nearest_rank
-from repro.sim.stats import MetricsRecorder
+from repro.sim.stats import MetricsRecorder, check_record_mode
 
 __all__ = [
     "NodeState",
@@ -243,15 +244,11 @@ class PoolFleet:
         """Validate and store what every front end shares."""
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-        if record not in ("full", "streaming"):
-            raise ValueError(
-                f"unknown record mode {record!r}; choose 'full' or 'streaming'"
-            )
-        self.record = record
+        self.record = check_record_mode(record)
         self.engine = engine or OnlineServingEngine()
         self.policy = policy
         self.router = make_router(router) if isinstance(router, str) else router
-        self.max_batch = max_batch
+        self.max_batch = None if max_batch is None else check_max_batch(max_batch)
         # Run-local state, rebuilt by _fresh().
         self._slots: Dict[int, _NodeSlot] = {}
         self._replicas: Dict[str, List[_NodeSlot]] = {}

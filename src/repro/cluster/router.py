@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.cluster.node import ClusterNode
 from repro.serving.engine import Request
+from repro.serving.node import ClusterNode
 
 __all__ = [
     "ROUTER_POLICIES",

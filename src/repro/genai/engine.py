@@ -50,7 +50,7 @@ from repro.genai.report import GenCompletion, GenRejection, GenReport
 from repro.genai.schedulers import ContinuousBatcher
 from repro.genai.workload import GenRequest
 from repro.models.layers import CpuOp, attention_cpu_ops, decode_attention_cpu_ops
-from repro.serving.engine import OnlineServingEngine
+from repro.serving.engine import OnlineServingEngine, check_max_batch
 from repro.serving.nodespec import STEPSTONE_NODE, NodeSpec
 from repro.sim.kernel import DiscreteEventKernel, Event, EventKind
 
@@ -131,16 +131,15 @@ class GenerativeEngine:
                 hosted weights.
 
         Raises:
-            ValueError: On a non-positive ``max_batch``, or (at default
-                sizing) a node too small to host the weights.
+            ValueError: On a ``max_batch`` that is not a positive
+                integer, or (at default sizing) a node too small to host
+                the weights.
         """
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
+        self.max_batch = check_max_batch(max_batch)
         self.config = config
         self.spec = spec
         self.scheduler = scheduler if scheduler is not None else ContinuousBatcher()
         self.policy = policy
-        self.max_batch = max_batch
         self.engine = engine if engine is not None else OnlineServingEngine()
         self.engine.models[config.step_key] = config.step_spec()
         self.kv_capacity_tokens = (

@@ -1,6 +1,7 @@
 """Query serving on a StepStone system: batch splitting, hybrid dispatch,
-request-level online serving on a simulated clock, and the hardware node
-specs (`NodeSpec`) heterogeneous fleets are built from."""
+request-level online serving on a simulated clock (through the one node
+state machine in :mod:`repro.serving.node`, which the fleets share), and
+the hardware node specs (`NodeSpec`) heterogeneous fleets are built from."""
 
 from repro.serving.nodespec import (
     BACKENDS,

@@ -30,6 +30,7 @@ cost O(requests), not O(requests x GEMMs).
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -46,7 +47,7 @@ from repro.sim.kernel import DiscreteEventKernel, Event, EventKind
 # (`repro.sim.metrics`) but remain importable from here, where every
 # pre-kernel caller found them.
 from repro.sim.metrics import nearest_rank, window_latencies
-from repro.sim.stats import MetricsRecorder
+from repro.sim.stats import MetricsRecorder, check_record_mode
 
 __all__ = [
     "POLICIES",
@@ -421,6 +422,22 @@ def slo_admit(
     return admitted, rejected, service
 
 
+def check_max_batch(max_batch: int) -> int:
+    """Return ``max_batch`` if it is a usable per-batch request cap.
+
+    Raises:
+        ValueError: Unless ``max_batch`` is a positive integer (a
+            ``bool`` or a float, even an integral one, is not).
+    """
+    if (
+        isinstance(max_batch, bool)
+        or not isinstance(max_batch, numbers.Integral)
+        or max_batch <= 0
+    ):
+        raise ValueError(f"max_batch must be a positive integer, got {max_batch!r}")
+    return max_batch
+
+
 # ---------------------------------------------------------------------- #
 # The engine
 # ---------------------------------------------------------------------- #
@@ -435,11 +452,9 @@ class OnlineServingEngine:
         models: Optional[Dict[str, ModelSpec]] = None,
         max_batch: int = 64,
     ) -> None:
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
+        self.max_batch = check_max_batch(max_batch)
         self.server = server or BatchServer()
         self.models = dict(models) if models is not None else all_models()
-        self.max_batch = max_batch
         # Memoized batch service times.  The key includes the node spec's
         # hardware identity (`NodeSpec.latency_key`), not just
         # (model, policy, batch): two node specs with different hardware
@@ -625,31 +640,44 @@ class OnlineServingEngine:
     ) -> ServingReport:
         """Serve an arrival-ordered request stream under one policy.
 
-        A 1-entity simulation on the shared :mod:`repro.sim` kernel: the
+        One :class:`~repro.serving.node.ClusterNode` (the state machine
+        every fleet node runs) on the shared :mod:`repro.sim` kernel: the
         arrival stream is preloaded, each dispatched batch schedules its
         own ``FINISH`` event, and the kernel's total order (arrivals
         before finishes at equal instants) makes a request landing
-        exactly at a batch boundary join the next batch — the same
-        contract the fleet simulators obey.
+        exactly at a batch boundary join the next batch.
 
         ``record="streaming"`` accumulates flat-memory aggregates instead
         of per-request lists (see :class:`~repro.sim.stats.MetricsRecorder`).
 
         ``obs`` takes an optional :class:`~repro.obs.RunObserver`: spans
         land as ``queued``/``serve``/``rejected`` per request plus one
-        ``batch`` execution span per dispatch, carrying the exact floats
-        this report accounts with (span sums tie out with ``==``).  The
-        default runs the original untraced path.
+        ``batch`` execution span per dispatch, exactly as a one-node
+        fleet emits them (span sums tie out with ``==``).
 
-        ``fast=True`` opts into the :mod:`repro.sim.fast` vectorized
+        ``fast=True`` opts into the :mod:`repro.sim.fast` kernel-less
         path — bit-identical reports, no per-event kernel churn.  It
         engages only for full recording without span tracing (the exact
         configurations it can replay); anything else falls back here.
+
+        Raises:
+            ValueError: On an unknown policy or record mode, or (before
+                any event runs) a request for a model not served here.
         """
+        from repro.serving.node import ClusterNode
+
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
+        check_record_mode(record)
         spans = obs.spans if obs is not None else None
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
+        unknown = {r.model for r in ordered}.difference(self.models)
+        if unknown:
+            r = next(r for r in ordered if r.model in unknown)
+            raise ValueError(
+                f"request {r.req_id} asks for model {r.model!r}, which "
+                f"this engine does not serve (it serves {sorted(self.models)})"
+            )
         if fast:
             if record != "full":
                 reason = "streaming-record"
@@ -661,143 +689,49 @@ class OnlineServingEngine:
                 reason = "empty-stream"
             else:
                 reason = None
-            if reason is None:
-                from repro.sim import fast as _fast
+            if reason is not None:
+                from repro.obs.telemetry import record_fast_fallback
 
-                report = ServingReport(policy=policy, stats=_fast.FastRecorder())
-                _fast.run_engine_fast(self, ordered, policy, report)
-                if obs is not None and obs.telemetry is not None:
-                    obs.telemetry.record_counts(
-                        "engine",
-                        served=report.served,
-                        rejected=report.rejected_count,
-                        failed=report.failed_count,
-                    )
-                return report
-            from repro.obs.telemetry import record_fast_fallback
-
-            record_fast_fallback("engine", reason, obs)
-        report = ServingReport(policy=policy, record=record)
+                record_fast_fallback("engine", reason, obs)
+            fast = reason is None
         if not ordered:
-            return report
-        kernel = DiscreteEventKernel()
-        kernel.preload(
-            Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-            for i, r in enumerate(ordered)
-        )
-        queue: List[Request] = []
-        busy = False
-        last_finish = 0.0
+            return ServingReport(policy=policy, record=record)
+        if fast:
+            from repro.sim import fast as _fast
 
-        def try_dispatch(now: float) -> None:
-            # FIFO batch from the oldest request's model only.  SLO
-            # admission drops requests whose wait + predicted service
-            # exceeds their bound, least headroom first, in a single
-            # sorted pass — a smaller batch serves faster, so a violator
-            # at this size may fit at the next, and mass rejection would
-            # overshoot.  A fully rejected batch moves on to the next
-            # head-of-queue model without advancing time.
-            nonlocal busy
-            while not busy and queue:
-                head_model = queue[0].model
-                candidates = []
-                for r in queue:
-                    if r.model == head_model:
-                        candidates.append(r)
-                        if len(candidates) == self.max_batch:
-                            break
-                batch, rejected_now, service = slo_admit(
-                    candidates,
-                    now,
-                    lambda size: self.batch_latency(head_model, policy, size),
-                )
-                for r in rejected_now:
-                    report.record_rejection(
-                        RejectedRequest(request=r, rejected_at_s=now)
-                    )
-                    if spans is not None:
-                        spans.emit(
-                            r.req_id,
-                            "rejected",
-                            r.arrival_s,
-                            now - r.arrival_s,
-                            model=r.model,
-                        )
-                # batch + rejected_now partition the candidates — the
-                # first len(candidates) head-model requests in queue
-                # order — so drop exactly that many matches (req_ids are
-                # caller-chosen and may collide across merged streams;
-                # counting sidesteps identity bookkeeping entirely).
-                ncand = len(candidates)
-                if ncand == len(queue):
-                    queue.clear()
-                else:
-                    dropped = 0
-                    newq = []
-                    for r in queue:
-                        if dropped < ncand and r.model == head_model:
-                            dropped += 1
-                        else:
-                            newq.append(r)
-                    queue[:] = newq
-                if batch:
-                    busy = True
-                    kernel.schedule(
-                        now + service, EventKind.FINISH, 0, payload=(batch, now)
-                    )
+            report = ServingReport(policy=policy, stats=_fast.FastRecorder())
+            _fast.run_engine_fast(self, ordered, policy, report)
+        else:
+            report = ServingReport(policy=policy, record=record)
+            node = ClusterNode(0, self, policy)
+            node.report = report
+            node.obs_spans = spans
+            kernel = DiscreteEventKernel()
+            kernel.preload(
+                Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
+                for i, r in enumerate(ordered)
+            )
 
-        def on_arrivals(now: float, events: List[Event]) -> None:
-            queue.extend(ev.payload for ev in events)
-            try_dispatch(now)
+            def dispatch(now: float) -> None:
+                finish = node.try_dispatch(now)
+                if finish is not None:
+                    kernel.schedule(finish, EventKind.FINISH, 0)
 
-        def on_finish(now: float, events: List[Event]) -> None:
-            nonlocal busy, last_finish
-            batch, dispatched = events[0].payload
-            for r in batch:
-                report.record_completion(
-                    CompletedRequest(
-                        request=r,
-                        dispatch_s=dispatched,
-                        finish_s=now,
-                        batch=len(batch),
-                    )
-                )
-                if spans is not None:
-                    spans.emit(
-                        r.req_id,
-                        "queued",
-                        r.arrival_s,
-                        dispatched - r.arrival_s,
-                        batch=len(batch),
-                        model=r.model,
-                    )
-                    spans.emit(
-                        r.req_id,
-                        "serve",
-                        dispatched,
-                        now - dispatched,
-                        batch=len(batch),
-                        model=r.model,
-                    )
-            if spans is not None:
-                spans.emit(
-                    -1,
-                    "batch",
-                    dispatched,
-                    now - dispatched,
-                    batch=len(batch),
-                    model=batch[0].model,
-                )
-            busy = False
-            last_finish = now
-            try_dispatch(now)
+            def on_arrivals(now: float, events: List[Event]) -> None:
+                node.queue.extend(ev.payload for ev in events)
+                dispatch(now)
 
-        kernel.run(
-            {EventKind.ARRIVAL: on_arrivals, EventKind.FINISH: on_finish},
-            obs=obs,
-        )
-        report.sim_end_s = max(last_finish, ordered[-1].arrival_s)
-        kernel.finalize(report)
+            def on_finish(now: float, events: List[Event]) -> None:
+                node.finish_batch(now)
+                dispatch(now)
+
+            kernel.run(
+                {EventKind.ARRIVAL: on_arrivals, EventKind.FINISH: on_finish},
+                obs=obs,
+            )
+            # busy_until is the last batch's finish instant (0.0 if none ran).
+            report.sim_end_s = max(node.busy_until, ordered[-1].arrival_s)
+            kernel.finalize(report)
         if obs is not None and obs.telemetry is not None:
             obs.telemetry.record_counts(
                 "engine",

@@ -1,12 +1,17 @@
-"""One fleet node (StepStone, CPU, or GPU) inside a simulated cluster.
+"""The one node state machine every serving loop drives.
 
-A node is the per-machine half of the fleet simulator: it owns a request
-queue, forms FIFO per-model batches exactly like the single-node
-:class:`~repro.serving.engine.OnlineServingEngine`, applies the same
-single-pass SLO admission, and charges batch service time through the
-engine's memoized :meth:`~repro.serving.engine.OnlineServingEngine.batch_latency`.
-Nodes share one engine instance so the latency model is computed once for
-the whole fleet, not once per node.
+A node owns a request queue, forms FIFO per-model batches (from the
+oldest queued request's model, capped at ``max_batch``), applies the
+single-pass SLO admission of :func:`~repro.serving.engine.slo_admit`,
+records completions and rejections into its report, and emits the
+request spans of a traced run.  Batch service time is charged through
+the engine's memoized
+:meth:`~repro.serving.engine.OnlineServingEngine.batch_latency`.  The
+single-node :class:`~repro.serving.engine.OnlineServingEngine` runs one
+node on its own clock; the fleets in :mod:`repro.cluster` run many on a
+shared one, sharing one engine instance so the latency model is computed
+once for the whole fleet, not once per node.  A one-node fleet therefore
+serves exactly like the engine by construction.
 
 Heterogeneity enters through the node's :class:`~repro.serving.NodeSpec`:
 the spec picks the hardware latency model (and therefore the *effective*
@@ -26,6 +31,7 @@ from repro.serving.engine import (
     RejectedRequest,
     Request,
     ServingReport,
+    check_max_batch,
     slo_admit,
 )
 from repro.serving.nodespec import STEPSTONE_NODE, NodeSpec
@@ -34,7 +40,7 @@ __all__ = ["ClusterNode"]
 
 
 class ClusterNode:
-    """Queue + dispatch state of one node; driven by the fleet simulator.
+    """Queue + dispatch state of one node; driven by a serving loop.
 
     Args:
         node_id: Fleet-unique id (also the event tie-break order).
@@ -46,6 +52,9 @@ class ClusterNode:
             every model (full replication).
         max_batch: Per-batch request cap; defaults to the engine's.
         spec: Hardware spec of this node (default: the StepStone node).
+
+    Raises:
+        ValueError: If ``max_batch`` is not a positive integer.
     """
 
     def __init__(
@@ -62,9 +71,9 @@ class ClusterNode:
         self.spec = spec
         self.policy = spec.effective_policy(policy)
         self.models: Set[str] = set(models) if models else set()
-        self.max_batch = max_batch if max_batch is not None else engine.max_batch
-        if self.max_batch <= 0:
-            raise ValueError("max_batch must be positive")
+        self.max_batch = check_max_batch(
+            engine.max_batch if max_batch is None else max_batch
+        )
         self.queue: List[Request] = []
         self.in_flight: List[Request] = []
         self.busy_until: float = 0.0
@@ -75,7 +84,7 @@ class ClusterNode:
         self._dispatch_s: float = 0.0
         self._service_s: float = 0.0
         #: Optional :class:`~repro.obs.trace.SpanRecorder` the owning
-        #: fleet attaches for a traced run (``None`` = no tracing).
+        #: loop attaches for a traced run (``None`` = no tracing).
         self.obs_spans = None
         # Batch-1 latency per model: a hardware property of this node,
         # so it survives runs.  The SLO-feasibility routers ask for it
@@ -128,10 +137,10 @@ class ClusterNode:
     def try_dispatch(self, clock: float) -> Optional[float]:
         """Launch the next admissible batch if idle; return its finish time.
 
-        Mirrors the single-node engine: the batch is FIFO from the oldest
-        queued request's model, capped at ``max_batch``, shrunk by SLO
-        admission.  If admission rejects an entire batch the loop moves on
-        to the next head-of-queue model.
+        The batch is FIFO from the oldest queued request's model, capped
+        at ``max_batch``, shrunk by SLO admission.  If admission rejects
+        an entire batch the loop moves on to the next head-of-queue model
+        without advancing time.
 
         Args:
             clock: Current simulated time.
@@ -272,13 +281,17 @@ class ClusterNode:
                     batch=len(self.in_flight),
                     model=self.in_flight[0].model,
                 )
-            for r in self.in_flight:
+        for reason, reqs in (
+            ("in-flight-lost", self.in_flight),
+            ("queue-dropped", self.queue),
+        ):
+            for r in reqs:
                 self.report.record_failure(
                     FailedRequest(
                         request=r,
                         failed_at_s=clock,
                         node_id=self.node_id,
-                        reason="in-flight-lost",
+                        reason=reason,
                     )
                 )
                 if spans is not None:
@@ -290,24 +303,6 @@ class ClusterNode:
                         node=self.node_id,
                         model=r.model,
                     )
-        for r in self.queue:
-            self.report.record_failure(
-                FailedRequest(
-                    request=r,
-                    failed_at_s=clock,
-                    node_id=self.node_id,
-                    reason="queue-dropped",
-                )
-            )
-            if spans is not None:
-                spans.emit(
-                    r.req_id,
-                    "failed",
-                    r.arrival_s,
-                    clock - r.arrival_s,
-                    node=self.node_id,
-                    model=r.model,
-                )
         self.queue = []
         self.in_flight = []
         self.busy_until = clock

@@ -50,13 +50,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.serving.engine import (
-    CompletedRequest,
-    RejectedRequest,
-    Request,
-    ServingReport,
-    slo_admit,
-)
+from repro.serving.engine import CompletedRequest, Request, ServingReport
+from repro.serving.node import ClusterNode
 from repro.sim.kernel import DiscreteEventKernel, EventKind
 from repro.sim.stats import MetricsRecorder
 
@@ -646,83 +641,47 @@ def run_engine_fast(
 
     One batch is in flight at a time, so the heap degenerates to a
     single pending FINISH slot: every arrival at or before the pending
-    finish instant is bulk-appended to the queue (dispatch is a no-op
-    while busy — exactly the slow path's behavior), then the finish is
-    recorded as one batch and the next dispatch attempted.  Identical,
-    request for request, to :meth:`OnlineServingEngine.run`.
+    finish instant is bulk-appended to the node's queue (dispatch is a
+    no-op while busy — exactly the slow path's behavior), then the
+    finish is recorded as one batch and the node's next dispatch
+    attempted.  Batches are formed by the same
+    :class:`~repro.serving.node.ClusterNode` the reference loop drives,
+    so the result is identical, request for request, to
+    :meth:`OnlineServingEngine.run`.
     """
     count_run()
     n = len(ordered)
     ta = arrival_times(ordered)
     tl = ta.tolist()
-    stats = report.stats
-    max_batch = engine.max_batch
-    batch_latency = engine.batch_latency
-    record_rejection = report.record_rejection
-    queue: List[Request] = []
-    pending = None  # (finish_t, batch, dispatch_t)
-    last_finish = 0.0
+    node = ClusterNode(0, engine, policy)
+    node.report = report
+    record_batch = report.stats.record_batch
     n_batches = 0
     i = 0
 
-    def try_dispatch(now: float) -> None:
-        nonlocal pending
-        while queue:
-            head_model = queue[0].model
-            candidates = []
-            for r in queue:
-                if r.model == head_model:
-                    candidates.append(r)
-                    if len(candidates) == max_batch:
-                        break
-            batch, rejected_now, service = slo_admit(
-                candidates,
-                now,
-                lambda size: batch_latency(head_model, policy, size),
-            )
-            for r in rejected_now:
-                record_rejection(RejectedRequest(request=r, rejected_at_s=now))
-            ncand = len(candidates)
-            if ncand == len(queue):
-                queue.clear()
-            else:
-                dropped = 0
-                newq = []
-                for r in queue:
-                    if dropped < ncand and r.model == head_model:
-                        dropped += 1
-                    else:
-                        newq.append(r)
-                queue[:] = newq
-            if batch:
-                pending = (now + service, batch, now)
-                return
-
     while True:
-        if pending is not None:
-            tf = pending[0]
+        if node.in_flight:
+            tf = node.busy_until
             if i < n:
                 j = int(np.searchsorted(ta, tf, side="right"))
                 if j > i:
-                    queue.extend(ordered[i:j])
+                    node.queue.extend(ordered[i:j])
                     i = j
-            tf, batch, dispatched = pending
-            pending = None
-            stats.record_batch(dispatched, tf, batch)
+            record_batch(node._dispatch_s, tf, node.in_flight)
+            node.in_flight = []
             n_batches += 1
-            last_finish = tf
-            try_dispatch(tf)
+            node.try_dispatch(tf)
         elif i < n:
             t = tl[i]
             j = i + 1
             while j < n and tl[j] == t:
                 j += 1
-            queue.extend(ordered[i:j])
+            node.queue.extend(ordered[i:j])
             i = j
-            try_dispatch(t)
+            node.try_dispatch(t)
         else:
             break
 
-    report.sim_end_s = max(last_finish, ordered[-1].arrival_s)
+    report.sim_end_s = max(node.busy_until, ordered[-1].arrival_s)
     report.events_processed = n + n_batches
     return report

@@ -53,6 +53,7 @@ __all__ = [
     "StreamStats",
     "WindowRing",
     "MetricsRecorder",
+    "check_record_mode",
 ]
 
 #: Quantiles every sketch tracks with a dedicated P² marker set (as
@@ -67,6 +68,19 @@ DEFAULT_EXACT_LIMIT = 512
 #: Closed windows a :class:`WindowRing` retains (oldest evicted beyond
 #: this) — bounds streaming-mode memory regardless of run length.
 DEFAULT_RING_DEPTH = 4096
+
+
+def check_record_mode(record: str) -> str:
+    """Return ``record`` if it names a recording mode.
+
+    Raises:
+        ValueError: Unless ``record`` is ``"full"`` or ``"streaming"``.
+    """
+    if record not in ("full", "streaming"):
+        raise ValueError(
+            f"unknown record mode {record!r}; choose 'full' or 'streaming'"
+        )
+    return record
 
 
 class RecordingModeError(RuntimeError):
@@ -706,7 +720,6 @@ class MetricsRecorder:
     def __init__(
         self,
         record: str = "full",
-        window_s: Optional[float] = None,
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
         exact_limit: int = DEFAULT_EXACT_LIMIT,
         ring_depth: int = DEFAULT_RING_DEPTH,
@@ -717,9 +730,6 @@ class MetricsRecorder:
         Args:
             record: ``"full"`` (exact per-request lists) or
                 ``"streaming"`` (flat-memory aggregates).
-            window_s: Auto-roll width of the streaming window ring;
-                ``None`` rolls only on explicit :meth:`roll_window`
-                calls (the elastic control loops roll every tick).
             quantiles: Tracked quantile fractions for the sketches.
             exact_limit: Exact-reservoir size of the overall sketch.
             ring_depth: Closed windows the ring retains.
@@ -728,11 +738,7 @@ class MetricsRecorder:
         Raises:
             ValueError: On an unknown ``record`` mode.
         """
-        if record not in ("full", "streaming"):
-            raise ValueError(
-                f"unknown record mode {record!r}; choose 'full' or 'streaming'"
-            )
-        self.record = record
+        self.record = check_record_mode(record)
         self.parent = parent
         self.n_completed = 0
         self.n_rejected = 0
@@ -748,7 +754,6 @@ class MetricsRecorder:
             self._completed = self._rejected = self._failed = None
             self.latency = StreamStats(quantiles, exact_limit)
             self.ring = WindowRing(
-                window_s=window_s,
                 depth=ring_depth,
                 quantiles=quantiles,
             )

@@ -138,6 +138,11 @@ class TestClusterNode:
         with pytest.raises(ValueError, match="does not host"):
             node.enqueue(Request(0, "DLRM", 0.0))
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_integer_max_batch_rejected(self, eng, bad):
+        with pytest.raises(ValueError, match="positive integer"):
+            ClusterNode(0, eng, "cpu", max_batch=bad)
+
     def test_dispatch_batches_head_model_only(self, eng):
         node = ClusterNode(0, eng, "cpu")
         node.enqueue(Request(0, "BERT", 0.0))
@@ -325,8 +330,33 @@ class TestUnplacedModels:
         assert all(n.report.offered == 0 for n in cluster.nodes)
 
 
+@pytest.mark.parametrize("bad", [2.5, True])
+@pytest.mark.parametrize("fleet", ["cluster", "elastic", "hetero"])
+def test_fleets_reject_non_integer_max_batch(eng, fleet, bad):
+    """Every fleet front end refuses a non-integer per-node batch cap
+    at construction, before any node is built."""
+    from repro.autoscale import ElasticCluster, HeteroElasticCluster, NodePool
+    from repro.serving import STEPSTONE_NODE
+
+    build = {
+        "cluster": lambda: Cluster(1, engine=eng, max_batch=bad),
+        "elastic": lambda: ElasticCluster(engine=eng, max_batch=bad),
+        "hetero": lambda: HeteroElasticCluster(
+            {"stepstone": NodePool(STEPSTONE_NODE)}, engine=eng, max_batch=bad
+        ),
+    }[fleet]
+    with pytest.raises(ValueError, match="positive integer"):
+        build()
+
+
 @pytest.mark.parametrize(
-    "first, second", [("cluster", "autoscale"), ("autoscale", "cluster")]
+    "first, second",
+    [
+        ("cluster", "autoscale"),
+        ("autoscale", "cluster"),
+        ("serving", "cluster"),
+        ("sim.fast", "serving"),
+    ],
 )
 def test_fleet_packages_import_in_either_order(first, second):
     """``repro.cluster`` sits below ``repro.autoscale``: importing either

@@ -18,8 +18,11 @@ default matrix — seeds 0..4 across all four serving loops, plus the
 router sweep — already exercises >20 distinct scenarios: every router,
 SLO and no-SLO mixes, scripted outages, elastic scale events, and
 hetero pool churn.  The same seeds drive
-the two full-report equivalence tests, in both record modes and on
-both paths: ``test_one_pool_hetero_matches_elastic`` pins an
+the three full-report equivalence tests, in both record modes and on
+both paths: ``test_engine_matches_one_node_cluster`` pins the
+single-node engine to a one-node :class:`Cluster` (and
+``test_engine_spans_match_one_node_cluster`` their traced spans, span
+for span), ``test_one_pool_hetero_matches_elastic`` pins an
 :class:`ElasticCluster` to a one-pool :class:`HeteroElasticCluster`,
 and ``test_cluster_matches_static_elastic`` pins a full-replication
 :class:`Cluster` to an :class:`ElasticCluster` held at the same size by
@@ -52,6 +55,7 @@ from repro.autoscale.policies import (
     node_capacity_rps,
 )
 from repro.cluster import Cluster, ModelPlacement
+from repro.obs import RunObserver
 from repro.serving import (
     GPU_NODE,
     STEPSTONE_NODE,
@@ -460,6 +464,46 @@ def test_cluster_matches_static_elastic(engine, seed):
             assert a.availability == b.availability, label
             assert len(b.samples) > 0, label
             assert b.events_processed - a.events_processed == len(b.samples), label
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_engine_matches_one_node_cluster(engine, seed):
+    """The single-node engine is a one-node :class:`Cluster`: the same
+    completions and rejections (full mode) and the same counts,
+    ``sim_end_s``, ``events_processed`` and percentiles, in both record
+    modes and on both paths."""
+    sc = Scenario(seed)
+    stream = sc.stream()
+    for record in ("full", "streaming"):
+        cl = Cluster(1, engine=engine, policy=sc.policy, record=record)
+        for fast in (False, True):
+            label = (seed, record, fast)
+            a = engine.run(stream, sc.policy, record=record, fast=fast)
+            b = cl.run(stream, fast=fast)
+            node = b.node_reports[0]
+            if record == "full":
+                assert_reports_identical(a, node, label)
+            assert (a.served, a.rejected_count, a.failed_count) == (
+                b.served, b.rejected_count, b.failed_count
+            ), label
+            assert a.sim_end_s == b.sim_end_s, label
+            assert a.events_processed == b.events_processed, label
+            assert _nan_free(a.p50_s) == _nan_free(b.p50_s), label
+            assert _nan_free(a.p99_s) == _nan_free(b.p99_s), label
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_engine_spans_match_one_node_cluster(engine, seed):
+    """Traced, the engine emits a one-node :class:`Cluster`'s spans,
+    span for span and float for float."""
+    sc = Scenario(seed)
+    stream = sc.stream()
+    obs_engine = RunObserver.tracing()
+    obs_cluster = RunObserver.tracing()
+    engine.run(stream, sc.policy, obs=obs_engine)
+    Cluster(1, engine=engine, policy=sc.policy).run(stream, obs=obs_cluster)
+    assert obs_engine.spans.n_evicted == 0
+    assert obs_engine.spans.spans == obs_cluster.spans.spans
 
 
 def test_every_router_covered_by_default_matrix():

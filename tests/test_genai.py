@@ -109,6 +109,11 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             GenModelConfig("bad", 1600, 6400, 48, 7, 100)  # heads don't divide
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_integer_max_batch_rejected(self, shared_engine, bad):
+        with pytest.raises(ValueError, match="positive integer"):
+            make_engine(shared_engine, max_batch=bad)
+
 
 class TestKVCacheBudget:
     def test_for_node_nets_out_weights(self):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.obs import KernelProfiler, RunObserver, Telemetry
 from repro.serving import (
     POLICIES,
     OnlineServingEngine,
@@ -15,6 +16,7 @@ from repro.serving import (
     slo_admit,
     uniform_requests,
 )
+from repro.sim import fast as fastmod
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +180,23 @@ class TestEngineRuns:
         with pytest.raises(ValueError):
             OnlineServingEngine(max_batch=0)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_non_integer_max_batch_rejected(self, bad):
+        """A fractional cap never equals a batch length, so it would
+        silently uncap batches; a bool is not a count."""
+        with pytest.raises(ValueError, match="positive integer"):
+            OnlineServingEngine(max_batch=bad)
+
+    def test_bad_record_mode_raises_before_fast_gate(self, eng):
+        """An unknown record mode is refused before the fast gate can
+        count it as a ``streaming-record`` fallback."""
+        obs = RunObserver.full()
+        with pytest.raises(ValueError, match="unknown record mode"):
+            eng.run(
+                [Request(0, "BERT", 0.0)], "cpu", record="bogus", obs=obs, fast=True
+            )
+        assert obs.telemetry.snapshot()["counters"] == {}
+
     def test_colliding_req_ids_across_streams(self, eng):
         """Regression: queue bookkeeping used req_id, so merged streams with
         overlapping ids silently dropped requests."""
@@ -217,6 +236,37 @@ class TestEngineRuns:
             reports["cpu"].throughput_rps, reports["pim"].throughput_rps
         )
         assert reports["hybrid"].throughput_rps >= best_single - 1e-9
+
+
+class TestUnknownModelIntake:
+    """A request for a model the engine does not serve is rejected at
+    intake with the fleets' error, before any event runs, on every path."""
+
+    @staticmethod
+    def _stream():
+        return [
+            Request(0, "BERT", 0.0),
+            Request(1, "NOPE", 0.5),
+            Request(2, "BERT", 1.0),
+        ]
+
+    @pytest.mark.parametrize(
+        "record, fast",
+        [("full", False), ("full", True), ("streaming", False)],
+        ids=["reference", "fast", "streaming"],
+    )
+    def test_raises_before_any_event(self, eng, record, fast):
+        obs = RunObserver(
+            profile=None if fast else KernelProfiler(),
+            telemetry=Telemetry(enabled=True),
+        )
+        runs = fastmod.FAST_RUNS
+        with pytest.raises(ValueError, match=r"request 1 .*'NOPE'"):
+            eng.run(self._stream(), "cpu", record=record, obs=obs, fast=fast)
+        assert fastmod.FAST_RUNS == runs
+        assert obs.telemetry.snapshot()["counters"] == {}
+        if obs.profile is not None:
+            assert obs.profile.events == 0
 
 
 class TestReport:
