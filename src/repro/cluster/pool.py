@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cluster.router import Router, make_router
@@ -244,6 +245,10 @@ class PoolFleet:
         """Validate and store what every front end shares."""
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
+        if not isinstance(router, (str, Router)):
+            raise TypeError(
+                f"router must be a policy name or a Router instance, got {router!r}"
+            )
         self.record = check_record_mode(record)
         self.engine = engine or OnlineServingEngine()
         self.policy = policy
@@ -486,7 +491,6 @@ class PoolFleet:
         interval; fills and returns ``report``."""
         self._obs_spans = obs.spans if obs is not None else None
         _fast = None
-        chooser = None
         if fast:
             if presorted:
                 fb_reason = "presorted-stream"
@@ -495,14 +499,7 @@ class PoolFleet:
             elif self._obs_spans is not None:
                 fb_reason = "spans"
             else:
-                from repro.sim import fast as _fast_mod
-
-                chooser = _fast_mod.make_chooser(self.router, self.replicas_for)
-                if chooser is not None:
-                    _fast = _fast_mod
-                    fb_reason = None
-                else:
-                    fb_reason = "custom-router"
+                from repro.sim import fast as _fast
             if _fast is None:
                 from repro.obs.telemetry import record_fast_fallback
 
@@ -579,48 +576,74 @@ class PoolFleet:
             else:
                 report.dropped.append(f)
 
-        def dispatch(slot: _NodeSlot, now: float) -> None:
-            finish = slot.node.try_dispatch(now)
-            if finish is not None:
-                kernel.schedule(
-                    finish, EventKind.FINISH, slot.node.node_id,
-                    payload=slot.node.epoch,
-                )
+        # Routers reuse their state across calls that share ``lifetime``;
+        # it is bumped after every dispatch attempt and every READY,
+        # CONTROL, FAIL and RECOVER event: the only changes a router
+        # cannot see (Router.route).  Replica lists change only on those
+        # four kinds, so they are cached per model until one fires.
+        lifetime = 0
+        replica_cache: Dict[str, List[ClusterNode]] = {}
+        route = self.router.route
 
-        def on_arrivals(now: float, events: List[Event]) -> None:
-            # All arrivals at this instant route before any dispatch, so
-            # simultaneous requests can share a batch (single-node engine
-            # semantics) and routing sees them in stream order.
+        def dispatch(slot: _NodeSlot, now: float) -> bool:
+            nonlocal lifetime
+            finish = slot.node.try_dispatch(now)
+            lifetime += 1
+            if finish is None:
+                return False
+            kernel.schedule(
+                finish, EventKind.FINISH, slot.node.node_id,
+                payload=slot.node.epoch,
+            )
+            return True
+
+        def place(r: Request, now: float) -> Optional[_NodeSlot]:
+            # Route one arrival and queue it; its slot, or None if no
+            # replica is up.  The router picks from ``replicas``, which
+            # hold only nodes hosting the model.
+            replicas = replica_cache.get(r.model)
+            if replicas is None:
+                replicas = replica_cache[r.model] = self.replicas_for(r.model)
+            if not replicas:
+                unrouted(r, now)
+                return None
+            node = route(r, replicas, now, lifetime)
+            node.queue.append(r)
+            slot = slots[node.node_id]
+            slot.arrived += 1
+            return slot
+
+        def arrive(requests: List[Request], now: float, lo: int, hi: int) -> bool:
+            # All arrivals at this instant, ``requests[lo:hi]``, route
+            # before any dispatch, so simultaneous requests can share a
+            # batch (single-node engine semantics) and routing sees them
+            # in stream order.  Returns whether a FINISH was scheduled.
+            if hi - lo == 1:
+                slot = place(requests[lo], now)
+                if slot is None or slot.node.in_flight:
+                    return False
+                return dispatch(slot, now)
             touched: Dict[int, _NodeSlot] = {}
-            state["last_arrival"] = now
-            for ev in events:
-                r = ev.payload
-                replicas = self.replicas_for(r.model)
-                if not replicas:
-                    unrouted(r, now)
-                    continue
-                node = self.router.route(r, replicas, now)
-                node.enqueue(r)
-                slot = slots[node.node_id]
-                slot.arrived += 1
-                touched[node.node_id] = slot
+            for r in requests[lo:hi]:
+                slot = place(r, now)
+                if slot is not None:
+                    touched[slot.node.node_id] = slot
+            scheduled = False
             for nid in sorted(touched):
-                if touched[nid].node.idle:
-                    dispatch(touched[nid], now)
+                if not touched[nid].node.in_flight and dispatch(touched[nid], now):
+                    scheduled = True
+            return scheduled
 
         def on_finishes(now: float, events: List[Event]) -> None:
             for ev in events:
                 slot = slots[ev.entity]
-                if ev.payload != slot.node.epoch:
+                node = slot.node
+                if ev.payload != node.epoch:
                     continue  # batch was lost to a failure; stale event
-                slot.node.finish_batch(now)
+                node.finish_batch(now)
                 state["last_service_end"] = now
                 dispatch(slot, now)
-                if (
-                    slot.state == DRAINING
-                    and slot.node.idle
-                    and not slot.node.queue
-                ):
+                if slot.state == DRAINING and node.idle and not node.queue:
                     self._retire(slot, now)
 
         def on_readies(now: float, events: List[Event]) -> None:
@@ -694,103 +717,38 @@ class PoolFleet:
                 )
             )
 
+        def cold(handler):
+            def wrapped(now: float, events: List[Event]) -> None:
+                nonlocal lifetime
+                handler(now, events)
+                replica_cache.clear()
+                lifetime += 1
+
+            return wrapped
+
+        handlers = {
+            EventKind.FINISH: on_finishes,
+            EventKind.READY: cold(on_readies),
+            EventKind.CONTROL: cold(on_control),
+            EventKind.FAIL: cold(on_fails),
+            EventKind.RECOVER: cold(on_recovers),
+        }
         if _fast is not None:
             _fast.count_run()
-            route = chooser.route
-
-            def dispatch_fast(slot: _NodeSlot, now: float) -> bool:
-                finish = slot.node.try_dispatch(now)
-                chooser.invalidate_backlogs()
-                if finish is not None:
-                    kernel.schedule(
-                        finish, EventKind.FINISH, slot.node.node_id,
-                        payload=slot.node.epoch,
-                    )
-                    return True
-                return False
-
-            def on_epoch(now: float, lo: int, hi: int) -> bool:
-                if hi - lo == 1:
-                    r = ordered[lo]
-                    node = route(r, now)
-                    if node is None:
-                        unrouted(r, now)
-                        return False
-                    node.queue.append(r)
-                    slot = slots[node.node_id]
-                    slot.arrived += 1
-                    if not node.in_flight:
-                        return dispatch_fast(slot, now)
-                    return False
-                touched: Dict[int, _NodeSlot] = {}
-                for r in ordered[lo:hi]:
-                    node = route(r, now)
-                    if node is None:
-                        unrouted(r, now)
-                        continue
-                    node.queue.append(r)
-                    slot = slots[node.node_id]
-                    slot.arrived += 1
-                    touched[node.node_id] = slot
-                scheduled = False
-                for nid in sorted(touched):
-                    if touched[nid].node.idle and dispatch_fast(
-                        touched[nid], now
-                    ):
-                        scheduled = True
-                return scheduled
-
-            def on_finishes_fast(now: float, events: List[Event]) -> None:
-                for ev in events:
-                    slot = slots[ev.entity]
-                    node = slot.node
-                    if ev.payload != node.epoch:
-                        continue  # batch was lost to a failure; stale event
-                    node.report.stats.record_batch(
-                        node._dispatch_s, now, node.in_flight
-                    )
-                    node.in_flight = []
-                    state["last_service_end"] = now
-                    dispatch_fast(slot, now)
-                    if (
-                        slot.state == DRAINING
-                        and node.idle
-                        and not node.queue
-                    ):
-                        self._retire(slot, now)
-
-            def cold(handler):
-                def wrapped(now: float, events: List[Event]) -> None:
-                    handler(now, events)
-                    chooser.invalidate_all()
-
-                return wrapped
-
             _fast.drain(
                 kernel,
                 _fast.arrival_times(ordered),
-                on_epoch,
-                {
-                    int(EventKind.FINISH): on_finishes_fast,
-                    int(EventKind.READY): cold(on_readies),
-                    int(EventKind.CONTROL): cold(on_control),
-                    int(EventKind.FAIL): cold(on_fails),
-                    int(EventKind.RECOVER): cold(on_recovers),
-                },
+                partial(arrive, ordered),
+                handlers,
                 profiler=getattr(obs, "profile", None) if obs is not None else None,
             )
         else:
-            kernel.run(
-                {
-                    EventKind.ARRIVAL: on_arrivals,
-                    EventKind.FINISH: on_finishes,
-                    EventKind.READY: on_readies,
-                    EventKind.CONTROL: on_control,
-                    EventKind.FAIL: on_fails,
-                    EventKind.RECOVER: on_recovers,
-                },
-                obs=obs,
-            )
+            def on_arrivals(now: float, events: List[Event]) -> None:
+                state["last_arrival"] = now
+                arrive([ev.payload for ev in events], now, 0, len(events))
+
+            handlers[EventKind.ARRIVAL] = on_arrivals
+            kernel.run(handlers, obs=obs)
         # The serving horizon excludes trailing control ticks (controller
         # bookkeeping, not service) — a static-policy run matches the
         # static fleet's sim_end exactly.  Anything still draining,

@@ -786,6 +786,20 @@ class MetricsRecorder:
         if self.parent is not None:
             self.parent.record_completion(c)
 
+    def record_batch(self, dispatch_s: float, finish_s: float, requests) -> None:
+        """Record one batch dispatched at ``dispatch_s`` and finished at
+        ``finish_s``: a ``CompletedRequest`` per request, in batch order,
+        each through :meth:`record_completion`."""
+        from repro.serving.engine import CompletedRequest
+
+        b = len(requests)
+        for r in requests:
+            self.record_completion(
+                CompletedRequest(
+                    request=r, dispatch_s=dispatch_s, finish_s=finish_s, batch=b
+                )
+            )
+
     def record_rejection(self, r) -> None:
         """Record one admission-rejected request (kept only in full mode)."""
         self.n_rejected += 1

@@ -349,6 +349,26 @@ def test_fleets_reject_non_integer_max_batch(eng, fleet, bad):
         build()
 
 
+@pytest.mark.parametrize("fleet", ["cluster", "elastic", "hetero"])
+def test_fleets_reject_router_class(eng, fleet):
+    """A router class (not an instance) is refused at construction with a
+    TypeError, not at run start."""
+    from repro.autoscale import ElasticCluster, HeteroElasticCluster, NodePool
+    from repro.serving import STEPSTONE_NODE
+
+    build = {
+        "cluster": lambda: Cluster(1, engine=eng, router=LeastLoadedRouter),
+        "elastic": lambda: ElasticCluster(engine=eng, router=LeastLoadedRouter),
+        "hetero": lambda: HeteroElasticCluster(
+            {"stepstone": NodePool(STEPSTONE_NODE)},
+            engine=eng,
+            router=LeastLoadedRouter,
+        ),
+    }[fleet]
+    with pytest.raises(TypeError, match="Router instance"):
+        build()
+
+
 @pytest.mark.parametrize(
     "first, second",
     [

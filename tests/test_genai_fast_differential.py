@@ -42,6 +42,7 @@ import sys
 
 import pytest
 
+from repro.cluster.router import Router
 from repro.genai import (
     ContinuousBatcher,
     GenerativeEngine,
@@ -398,25 +399,12 @@ def test_engine_fallback_reasons():
     )
 
 
-class _CustomRouter:
-    """A router make_chooser has no fast twin for."""
-
-    def __new__(cls):
-        from repro.cluster.router import RoundRobinRouter
-
-        class Custom(RoundRobinRouter):
-            name = "custom"
-
-        return Custom()
-
-
 def test_cluster_fallback_reasons():
     from repro.cluster import Cluster
 
     cases = [
         ("streaming-record", dict(record="streaming"), dict()),
         ("spans", dict(), dict(obs=RunObserver.tracing())),
-        ("custom-router", dict(router=_CustomRouter()), dict()),
     ]
     for reason, ctor_kw, run_kw in cases:
         cl = Cluster(n_nodes=2, **ctor_kw)
@@ -446,7 +434,6 @@ def test_elastic_fallback_reasons():
         ("presorted-stream", dict(), dict(presorted=True, horizon_s=1.0)),
         ("streaming-record", dict(record="streaming"), dict()),
         ("spans", dict(), dict(obs=RunObserver.tracing())),
-        ("custom-router", dict(router=_CustomRouter()), dict()),
     ]
     for reason, ctor_kw, run_kw in cases:
         el = ElasticCluster(
@@ -469,7 +456,6 @@ def test_hetero_fallback_reasons():
     cases = [
         ("streaming-record", dict(record="streaming"), dict()),
         ("spans", dict(), dict(obs=RunObserver.tracing())),
-        ("custom-router", dict(router=_CustomRouter()), dict()),
     ]
     for reason, ctor_kw, run_kw in cases:
         hc = HeteroElasticCluster(
@@ -500,6 +486,99 @@ def test_hetero_fallback_reasons():
             reason,
             lambda: hc.run(_serving_stream(), pol, fast=True, **run_kw),
         )
+
+
+class _MostBacklogRouter(Router):
+    """A load-dependent custom policy: the busiest replica, ties low id."""
+
+    name = "most-backlog"
+
+    def route(self, request, replicas, clock, lifetime=None):
+        return max(replicas, key=lambda n: (n.backlog(), -n.node_id))
+
+
+def _full_report(rep):
+    """Everything a fleet report records, per node and fleet-wide."""
+    nodes = rep.node_reports
+    items = nodes.items() if isinstance(nodes, dict) else enumerate(nodes)
+    return {
+        "nodes": {
+            nid: (
+                [(c.request.req_id, c.dispatch_s, c.finish_s, c.batch) for c in r.completed],
+                [(x.request.req_id, x.rejected_at_s) for x in r.rejected],
+                [(f.request.req_id, f.failed_at_s, f.reason) for f in r.failed],
+            )
+            for nid, r in items
+        },
+        "dropped": [(f.request.req_id, f.failed_at_s) for f in rep.dropped],
+        "busy": rep.node_busy_s,
+        "samples": getattr(rep, "samples", None),
+        "sim_end_s": rep.sim_end_s,
+        "events": rep.events_processed,
+    }
+
+
+@pytest.mark.parametrize("loop", ["cluster", "elastic", "hetero"])
+def test_custom_router_takes_fast_path(loop):
+    """Any Router runs through the same route calls on both paths, so a
+    custom one engages the fast path and matches the reference run."""
+    from repro.autoscale import (
+        BaselineBurstPolicy,
+        ElasticCluster,
+        HeteroElasticCluster,
+        NodePool,
+    )
+    from repro.autoscale.policies import node_capacity_rps
+    from repro.cluster import Cluster
+    from repro.serving import GPU_NODE, poisson_requests
+    from repro.sim import fast as sfast
+
+    router = _MostBacklogRouter()
+    if loop == "cluster":
+        fleet, pol = Cluster(n_nodes=3, router=router), None
+    elif loop == "elastic":
+        fleet = ElasticCluster(
+            models=["BERT"], initial_nodes=2, max_nodes=3, router=router
+        )
+        pol = _elastic_policy(fleet.engine, ["BERT"])
+    else:
+        fleet = HeteroElasticCluster(
+            pools={
+                "stepstone": NodePool(
+                    STEPSTONE_NODE, min_nodes=1, max_nodes=2, initial_nodes=2
+                ),
+                "gpu": NodePool(GPU_NODE, min_nodes=0, max_nodes=1, initial_nodes=0),
+            },
+            models=["BERT"],
+            router=router,
+        )
+        pol = BaselineBurstPolicy(
+            baseline="stepstone",
+            burst="gpu",
+            baseline_nodes=1,
+            baseline_capacity_rps=node_capacity_rps(
+                fleet.engine, {"BERT": 1.0}, "hybrid", spec=STEPSTONE_NODE
+            ),
+            burst_capacity_rps=node_capacity_rps(
+                fleet.engine, {"BERT": 1.0}, "hybrid", spec=GPU_NODE
+            ),
+        )
+    stream = poisson_requests("BERT", 300.0, 1.0, seed=3)
+    args = () if pol is None else (pol,)
+    slow = fleet.run(list(stream), *args)
+    BUS.enable()
+    try:
+        before = sfast.FAST_RUNS
+        fast = fleet.run(list(stream), *args, fast=True)
+        assert sfast.FAST_RUNS == before + 1
+        assert not any(
+            k.startswith("fast_fallback") for k in BUS.snapshot()["counters"]
+        )
+    finally:
+        BUS.disable()
+        BUS.reset()
+    assert _full_report(slow) == _full_report(fast)
+    assert slow.served > 0
 
 
 # --------------------------------------------------------------------------
