@@ -135,10 +135,9 @@ class ElasticCluster(PoolFleet):
                 lifecycle spans, and the kernel self-profiles when a
                 profiler is attached.  Default off.
             fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
-                path (bit-identical reports).  Engages for materialized
-                full-recording runs without span tracing on a builtin
-                router; falls back to the event-at-a-time path
-                otherwise.
+                path: bit-identical reports and spans, in either record
+                mode, with any router.  A ``presorted`` stream falls
+                back to the event-at-a-time path.
 
         Returns:
             The :class:`~repro.autoscale.report.AutoscaleReport`.

@@ -378,9 +378,8 @@ class HeteroElasticCluster(PoolFleet):
                 request lifecycle spans, and the kernel self-profiles
                 when a profiler is attached.  Default off.
             fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
-                path (bit-identical reports).  Engages for full
-                recording without span tracing on a builtin router;
-                falls back to the event-at-a-time path otherwise.
+                path: bit-identical reports and spans, in either record
+                mode, with any router.
 
         Returns:
             The :class:`HeteroAutoscaleReport` for the run.

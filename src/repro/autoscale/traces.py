@@ -35,7 +35,7 @@ import bisect
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -57,8 +57,22 @@ __all__ = [
 ]
 
 
+def _finite(name: str, value: float) -> None:
+    """Reject a NaN or infinite rate, time or window: NaN thins every
+    arrival away, and infinity never lets the thinning clock advance."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class RateTrace:
     """A deterministic request-rate intensity function (req/s over time)."""
+
+    def _check_finite(self) -> None:
+        """Apply :func:`_finite` to every numeric dataclass field."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (int, float)):
+                _finite(f"{type(self).__name__}.{f.name}", value)
 
     def rate_at(self, t: float) -> float:
         """Instantaneous offered rate at simulated second ``t``."""
@@ -96,6 +110,7 @@ class ScaledTrace(RateTrace):
     factor: float
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if self.factor < 0:
             raise ValueError("scale factor must be non-negative")
 
@@ -115,6 +130,7 @@ class ConstantTrace(RateTrace):
     rate_rps: float
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if self.rate_rps < 0:
             raise ValueError("rate must be non-negative")
 
@@ -140,6 +156,7 @@ class DiurnalTrace(RateTrace):
     phase_s: float = 0.0
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if self.trough_rps < 0 or self.peak_rps < self.trough_rps:
             raise ValueError("need 0 <= trough_rps <= peak_rps")
         if self.period_s <= 0:
@@ -183,6 +200,7 @@ class OnOffTrace(RateTrace):
     _switches: List[float] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if self.base_rps < 0 or self.burst_rps < 0:
             raise ValueError("rates must be non-negative")
         if self.mean_base_s <= 0 or self.mean_burst_s <= 0:
@@ -226,6 +244,7 @@ class SpikeTrace(RateTrace):
     decay_s: float = 2.0
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if self.base_rps < 0 or self.spike_rps < self.base_rps:
             raise ValueError("need 0 <= base_rps <= spike_rps")
         if self.rise_s <= 0 or self.decay_s <= 0:
@@ -259,6 +278,7 @@ class RampTrace(RateTrace):
     ramp_s: float
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if self.start_rps < 0 or self.end_rps < 0:
             raise ValueError("rates must be non-negative")
         if self.ramp_s <= 0:
@@ -294,6 +314,9 @@ class ReplayTrace(RateTrace):
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("replay trace needs at least one (t, rate) sample")
+        for t, r in self.points:
+            _finite("sample time", t)
+            _finite("sample rate", r)
         times = tuple(t for t, _ in self.points)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("sample times must be strictly increasing")
@@ -357,14 +380,11 @@ def nhpp_requests(
     ``t`` with probability ``rate_at(t) / peak`` — exact for any bounded
     intensity, and deterministic per seed.  A zero-rate trace yields an
     empty stream.
+
+    Raises:
+        ValueError: Unless ``duration_s`` is finite and positive and the
+            trace's peak rate over it finite and non-negative.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    envelope = trace.peak_rate(0.0, duration_s)
-    if envelope < 0:
-        raise ValueError("peak rate must be non-negative")
-    if envelope == 0:
-        return []
     return list(
         nhpp_stream(
             trace,
@@ -394,9 +414,11 @@ def nhpp_stream(
     :meth:`repro.sim.kernel.DiscreteEventKernel.preload_stream` or an
     elastic run's ``presorted=True`` path.
     """
+    _finite("duration_s", duration_s)
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     envelope = trace.peak_rate(0.0, duration_s)
+    _finite("peak rate", envelope)
     if envelope < 0:
         raise ValueError("peak rate must be non-negative")
     if envelope == 0:
@@ -431,7 +453,9 @@ def mix_requests(
     """
     if not mix:
         raise ValueError("traffic mix must name at least one model")
+    _finite("duration_s", duration_s)
     total = float(sum(mix.values()))
+    _finite("traffic share total", total)
     if total <= 0 or any(w < 0 for w in mix.values()):
         raise ValueError("traffic shares must be non-negative, sum > 0")
     slos = slos or {}
@@ -472,7 +496,9 @@ def mix_request_stream(
     """
     if not mix:
         raise ValueError("traffic mix must name at least one model")
+    _finite("duration_s", duration_s)
     total = float(sum(mix.values()))
+    _finite("traffic share total", total)
     if total <= 0 or any(w < 0 for w in mix.values()):
         raise ValueError("traffic shares must be non-negative, sum > 0")
     slos = slos or {}

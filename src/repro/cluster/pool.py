@@ -262,9 +262,6 @@ class PoolFleet:
         self._run_stats: Optional[MetricsRecorder] = None
         self._pool_stats: Dict[str, MetricsRecorder] = {}
         self._obs_spans = None
-        # True while a fast-path run is live: _spawn then equips every
-        # node (including mid-run provisions) with a FastRecorder.
-        self._fast_run = False
 
     def _configure(
         self,
@@ -384,10 +381,6 @@ class PoolFleet:
                     record="streaming", parent=self._pool_stats[pool]
                 ),
             )
-        elif self._fast_run:
-            from repro.sim.fast import FastRecorder
-
-            node.report = ServingReport(policy=node.policy, stats=FastRecorder())
         node.obs_spans = self._obs_spans
         life = NodeLifetime(node_id=nid, ordered_s=clock)
         slot = _NodeSlot(
@@ -491,20 +484,12 @@ class PoolFleet:
         interval; fills and returns ``report``."""
         self._obs_spans = obs.spans if obs is not None else None
         _fast = None
-        if fast:
-            if presorted:
-                fb_reason = "presorted-stream"
-            elif self.record != "full":
-                fb_reason = "streaming-record"
-            elif self._obs_spans is not None:
-                fb_reason = "spans"
-            else:
-                from repro.sim import fast as _fast
-            if _fast is None:
-                from repro.obs.telemetry import record_fast_fallback
+        if fast and presorted:
+            from repro.obs.telemetry import record_fast_fallback
 
-                record_fast_fallback(self._LABEL, fb_reason, obs)
-        self._fast_run = _fast is not None
+            record_fast_fallback(self._LABEL, "presorted-stream", obs)
+        elif fast:
+            from repro.sim import fast as _fast
         self._fresh()
         if autoscaler is not None:
             autoscaler.reset()

@@ -214,12 +214,11 @@ BUS = Telemetry(enabled=False)
 def record_fast_fallback(loop: str, reason: str, obs: Any = None) -> None:
     """Count one declined fast-path engagement, labeled by cause.
 
-    Every serving loop's ``fast=True`` gate calls this with the *first*
-    condition that disqualified the vectorized path (``"spans"``,
-    ``"profiler"``, ``"streaming-record"``, ``"presorted-stream"``,
-    ``"empty-stream"``) — so a sweep that meant to run fast but silently
-    fell back is visible as a labeled counter instead of a mystery
-    slowdown.  The increment lands on the
+    Every serving loop's ``fast=True`` gate calls this with the
+    condition that disqualified the vectorized path — ``"presorted-stream"``
+    (the fleets), ``"profiler"`` (the engine and genai) or ``"spans"``
+    (genai) — so a sweep that meant to run fast but silently fell back is
+    visible as a labeled counter instead of a mystery slowdown.  The increment lands on the
     process-wide :data:`BUS` and, when the run carries its own
     telemetry, on that bus too.
 

@@ -656,9 +656,10 @@ class OnlineServingEngine:
         fleet emits them (span sums tie out with ``==``).
 
         ``fast=True`` opts into the :mod:`repro.sim.fast` kernel-less
-        path — bit-identical reports, no per-event kernel churn.  It
-        engages only for full recording without span tracing (the exact
-        configurations it can replay); anything else falls back here.
+        path — bit-identical reports and spans in both record modes, no
+        per-event kernel churn.  Only a profiled run falls back here
+        (the kernel-less loop has no events to profile); an empty
+        stream returns before either path runs.
 
         Raises:
             ValueError: On an unknown policy or record mode, or (before
@@ -678,31 +679,19 @@ class OnlineServingEngine:
                 f"request {r.req_id} asks for model {r.model!r}, which "
                 f"this engine does not serve (it serves {sorted(self.models)})"
             )
-        if fast:
-            if record != "full":
-                reason = "streaming-record"
-            elif spans is not None:
-                reason = "spans"
-            elif obs is not None and obs.profile is not None:
-                reason = "profiler"
-            elif not ordered:
-                reason = "empty-stream"
-            else:
-                reason = None
-            if reason is not None:
-                from repro.obs.telemetry import record_fast_fallback
-
-                record_fast_fallback("engine", reason, obs)
-            fast = reason is None
+        report = ServingReport(policy=policy, record=record)
         if not ordered:
-            return ServingReport(policy=policy, record=record)
+            return report
+        if fast and obs is not None and obs.profile is not None:
+            from repro.obs.telemetry import record_fast_fallback
+
+            record_fast_fallback("engine", "profiler", obs)
+            fast = False
         if fast:
             from repro.sim import fast as _fast
 
-            report = ServingReport(policy=policy, stats=_fast.FastRecorder())
-            _fast.run_engine_fast(self, ordered, policy, report)
+            _fast.run_engine_fast(self, ordered, policy, report, spans)
         else:
-            report = ServingReport(policy=policy, record=record)
             node = ClusterNode(0, self, policy)
             node.report = report
             node.obs_spans = spans

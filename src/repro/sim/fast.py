@@ -16,21 +16,20 @@ module collapses the hot ARRIVAL→dispatch→FINISH path:
   instants — is preserved by construction: an epoch at time ``t`` runs
   after any heap event earlier than ``t`` or at ``t`` with a smaller
   kind, and before everything else.
-* :class:`FastRecorder` defers per-request ``CompletedRequest``
-  materialization: the FINISH path records one ``(dispatch, finish,
-  requests)`` triple per batch, and the per-request records are built
-  lazily the first time a report query needs them.  Every query
-  answers bit-identically to the eager recorder.
 * Routing is not re-implemented here: both paths call the same
   :meth:`~repro.cluster.router.Router.route` with a lifetime token, and
   each router's own incremental state (heaps seeded from live backlogs)
   amortizes the per-arrival replica scan.
 
 Exactness is the contract (pinned by ``tests/test_fast_differential``):
-the fast path must produce the same report, request for request, as the
-event-at-a-time path.  It therefore only engages on configurations it
-can replay exactly; every serving loop falls back to the slow path
-otherwise.
+the fast path must produce the same report, request for request, and
+the same spans, span for span, as the event-at-a-time path, in both
+record modes.  It differs from that path only in how arrivals are
+delivered — the same :class:`~repro.serving.node.ClusterNode`, recorders
+and span sink run on both — so a loop falls back in one case each: the
+fleets on a presorted lazy stream (no arrival column to walk), the
+single-node engine under a profiler (its kernel-less loop has no events
+to count).
 
 Profiling note: under a :class:`~repro.obs.KernelProfiler` the fast
 path counts arrival epochs in the ARRIVAL event/batch ledgers but books
@@ -41,21 +40,18 @@ left of the per-event handler churn the fast path was built to remove.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from heapq import heappop
 from time import perf_counter
 from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.serving.engine import CompletedRequest, Request, ServingReport
+from repro.serving.engine import Request, ServingReport
 from repro.serving.node import ClusterNode
 from repro.sim.kernel import DiscreteEventKernel, EventKind
-from repro.sim.stats import MetricsRecorder
 
 __all__ = [
     "FAST_RUNS",
-    "FastRecorder",
     "arrival_times",
     "drain",
     "run_engine_fast",
@@ -80,123 +76,6 @@ def arrival_times(ordered: List[Request]) -> np.ndarray:
     return np.fromiter(
         (r.arrival_s for r in ordered), np.float64, count=len(ordered)
     )
-
-
-# ---------------------------------------------------------------------- #
-# Deferred batch recording
-# ---------------------------------------------------------------------- #
-
-
-class FastRecorder(MetricsRecorder):
-    """A full-mode recorder that materializes completions lazily.
-
-    :meth:`record_batch` (called once per finished batch) stores the
-    batch instead of building one :class:`CompletedRequest` per request;
-    any query that needs the per-request list flushes the pending
-    batches first, producing records identical (field for field, float
-    for float) to what the eager path would have stored.
-
-    Only ``record="full"`` is supported — the streaming recorder is
-    already flat-memory and keeps its eager per-scalar path.  Parent
-    chaining is unsupported: the fast path only engages on loops that
-    give full-mode nodes parentless recorders.
-    """
-
-    __slots__ = ("_batches", "_cum")
-
-    def __init__(self) -> None:
-        super().__init__(record="full")
-        self._batches: List[tuple] = []
-        #: per-batch cumulative completion count (flushed included) so
-        #: tail reads bisect straight to the first unseen batch.
-        self._cum: List[int] = []
-
-    def record_batch(
-        self, dispatch_s: float, finish_s: float, requests: List[Request]
-    ) -> None:
-        """Record one finished batch (``requests`` ownership transfers)."""
-        self._batches.append((dispatch_s, finish_s, requests))
-        self.n_completed += len(requests)
-        self._cum.append(self.n_completed)
-
-    def _flush(self) -> None:
-        if not self._batches:
-            return
-        append = self._completed.append
-        for dispatch_s, finish_s, reqs in self._batches:
-            b = len(reqs)
-            for r in reqs:
-                append(
-                    CompletedRequest(
-                        request=r,
-                        dispatch_s=dispatch_s,
-                        finish_s=finish_s,
-                        batch=b,
-                    )
-                )
-        self._batches.clear()
-        self._cum.clear()
-
-    # Every accessor that reads the per-request completion list flushes
-    # first; counters (n_completed) are maintained eagerly.
-
-    @property
-    def completed(self):
-        self._flush()
-        return MetricsRecorder.completed.fget(self)
-
-    @property
-    def completed_count(self) -> int:
-        return self.n_completed
-
-    @property
-    def latencies_s(self) -> List[float]:
-        self._flush()
-        return MetricsRecorder.latencies_s.fget(self)
-
-    def new_latencies(self, seen: int) -> List[float]:
-        """Flush-free tail slice: pending batches are read in place."""
-        out = []
-        flushed = self._completed
-        if seen < len(flushed):
-            out.extend(c.latency_s for c in flushed[seen:])
-            seen = len(flushed)
-        if seen >= self.n_completed:
-            return out
-        batches = self._batches
-        cum = self._cum
-        i = bisect_right(cum, seen)
-        pos = cum[i] - len(batches[i][2])
-        for _, finish_s, reqs in batches[i:]:
-            for r in reqs[seen - pos:] if seen > pos else reqs:
-                out.append(finish_s - r.arrival_s)
-            pos += len(reqs)
-            seen = pos
-        return out
-
-    def window_percentile(self, q: float, start_s: float, end_s: float) -> float:
-        self._flush()
-        return MetricsRecorder.window_percentile(self, q, start_s, end_s)
-
-    @property
-    def mean_latency_s(self) -> float:
-        self._flush()
-        return MetricsRecorder.mean_latency_s.fget(self)
-
-    @property
-    def mean_queue_s(self) -> float:
-        self._flush()
-        return MetricsRecorder.mean_queue_s.fget(self)
-
-    @property
-    def mean_service_s(self) -> float:
-        self._flush()
-        return MetricsRecorder.mean_service_s.fget(self)
-
-    @property
-    def mean_batch(self) -> float:
-        self._flush()
-        return MetricsRecorder.mean_batch.fget(self)
 
 
 # ---------------------------------------------------------------------- #
@@ -371,9 +250,14 @@ def drain(
 
 
 def run_engine_fast(
-    engine, ordered: List[Request], policy: str, report: ServingReport
+    engine,
+    ordered: List[Request],
+    policy: str,
+    report: ServingReport,
+    spans=None,
 ) -> ServingReport:
-    """The 1-entity engine loop without a kernel.
+    """The 1-entity engine loop without a kernel, recording into
+    ``report`` and emitting into the span sink ``spans`` (if any).
 
     One batch is in flight at a time, so the heap degenerates to a
     single pending FINISH slot: every arrival at or before the pending
@@ -391,6 +275,7 @@ def run_engine_fast(
     tl = ta.tolist()
     node = ClusterNode(0, engine, policy)
     node.report = report
+    node.obs_spans = spans
     n_batches = 0
     i = 0
 

@@ -698,6 +698,12 @@ class MetricsRecorder:
     recorder whose parent is the pool/fleet recorder, so one completion
     recorded at the node updates every aggregation level — that is the
     "one shared metrics core fed by the FINISH path".
+
+    A parentless full-mode recorder defers per-request materialization:
+    :meth:`record_batch` stores one ``(dispatch_s, finish_s, requests)``
+    triple per batch, and the ``CompletedRequest`` records are built the
+    first time a query reads them — identical, field for field, to what
+    eager recording stores.
     """
 
     __slots__ = (
@@ -715,6 +721,8 @@ class MetricsRecorder:
         "_service_sum",
         "_batch_sum",
         "ring",
+        "_batches",
+        "_cum",
     )
 
     def __init__(
@@ -744,6 +752,11 @@ class MetricsRecorder:
         self.n_rejected = 0
         self.n_failed = 0
         self._lat_memo: Tuple[int, List[float]] = (-1, [])
+        #: Pending full-mode batches, and each one's cumulative
+        #: completion count (built records included), so tail reads
+        #: bisect straight to the first unseen batch.
+        self._batches: List[tuple] = []
+        self._cum: List[int] = []
         if record == "full":
             self._completed: Optional[VersionedList] = VersionedList()
             self._rejected: Optional[VersionedList] = VersionedList()
@@ -776,7 +789,7 @@ class MetricsRecorder:
         """
         self.n_completed += 1
         if self._completed is not None:
-            self._completed.append(c)
+            self._built().append(c)
         else:
             self.latency.add(c.latency_s)
             self._queue_sum += c.queue_s
@@ -788,11 +801,21 @@ class MetricsRecorder:
 
     def record_batch(self, dispatch_s: float, finish_s: float, requests) -> None:
         """Record one batch dispatched at ``dispatch_s`` and finished at
-        ``finish_s``: a ``CompletedRequest`` per request, in batch order,
-        each through :meth:`record_completion`."""
+        ``finish_s``: a ``CompletedRequest`` per request, in batch order.
+
+        A parentless full-mode recorder keeps the batch (``requests``
+        ownership transfers) and builds the records on first read;
+        otherwise each goes through :meth:`record_completion`.
+        """
+        b = len(requests)
+        if self._completed is not None and self.parent is None:
+            cum = self._cum
+            cum.append((cum[-1] if cum else len(self._completed)) + b)
+            self._batches.append((dispatch_s, finish_s, requests))
+            self.n_completed += b
+            return
         from repro.serving.engine import CompletedRequest
 
-        b = len(requests)
         for r in requests:
             self.record_completion(
                 CompletedRequest(
@@ -836,6 +859,24 @@ class MetricsRecorder:
                 "records were not kept; re-run with record='full'"
             )
 
+    def _built(self) -> VersionedList:
+        """The completion list with every pending batch materialized
+        (one ``extend``, so one version bump per flush)."""
+        done = self._completed
+        if self._batches:
+            from repro.serving.engine import CompletedRequest
+
+            done.extend(
+                [
+                    CompletedRequest(r, d, f, len(rs))
+                    for d, f, rs in self._batches
+                    for r in rs
+                ]
+            )
+            self._batches.clear()
+            self._cum.clear()
+        return done
+
     @property
     def completed(self) -> VersionedList:
         """Per-request completion records (full mode only).
@@ -844,7 +885,7 @@ class MetricsRecorder:
             RecordingModeError: In streaming mode.
         """
         self._require_full("the completed-request list")
-        return self._completed
+        return self._built()
 
     @property
     def rejected(self) -> VersionedList:
@@ -875,25 +916,38 @@ class MetricsRecorder:
                 :meth:`percentile` instead.
         """
         self._require_full("the sorted latency list")
+        done = self._built()
         version, memo = self._lat_memo
-        if version != self._completed.version:
-            memo = sorted(c.latency_s for c in self._completed)
-            self._lat_memo = (self._completed.version, memo)
+        if version != done.version:
+            memo = sorted(c.latency_s for c in done)
+            self._lat_memo = (done.version, memo)
         return memo
 
     def new_latencies(self, seen: int) -> List[float]:
         """Latencies of completions recorded after the first ``seen``.
 
         The elastic control loops slice each node's completion list once
-        per tick to build the window-p99 signal; routing the slice
-        through the recorder lets the fast path answer it without
-        materializing per-request records (full mode only).
+        per tick to build the window-p99 signal; the slice reads pending
+        batches in place, without materializing their records (full
+        mode only).
 
         Raises:
             RecordingModeError: In streaming mode.
         """
         self._require_full("the completion-latency slice")
-        return [c.latency_s for c in self._completed[seen:]]
+        done = self._completed
+        out = [c.latency_s for c in done[seen:]]
+        cum = self._cum
+        seen = max(seen, len(done))
+        if not cum or seen >= cum[-1]:
+            return out
+        i = bisect.bisect_right(cum, seen)
+        batches = self._batches
+        skip = seen - (cum[i] - len(batches[i][2]))
+        for _, finish_s, reqs in batches[i:]:
+            out.extend([finish_s - r.arrival_s for r in reqs[skip:]])
+            skip = 0
+        return out
 
     # ------------------------------------------------------------------ #
     # Aggregate queries (both modes)
@@ -901,7 +955,9 @@ class MetricsRecorder:
 
     @property
     def completed_count(self) -> int:
-        """Completions recorded so far (works in both modes)."""
+        """Completions recorded so far (works in both modes; O(1))."""
+        if self._cum:
+            return self._cum[-1]
         if self._completed is not None:
             return len(self._completed)
         return self.n_completed
@@ -950,26 +1006,26 @@ class MetricsRecorder:
         """
         if self.record == "full":
             return nearest_rank(
-                window_latencies(self._completed, start_s, end_s), q
+                window_latencies(self._built(), start_s, end_s), q
             )
         return self.ring.window_percentile(q, start_s, end_s)
+
+    def _full_mean(self, attr: str) -> float:
+        done = self._built()
+        return sum(getattr(c, attr) for c in done) / len(done) if done else math.nan
 
     @property
     def mean_latency_s(self) -> float:
         """Mean completed latency (NaN when nothing completed)."""
         if self.record == "full":
-            if not self._completed:
-                return math.nan
-            return sum(c.latency_s for c in self._completed) / len(self._completed)
+            return self._full_mean("latency_s")
         return self.latency.mean
 
     @property
     def mean_queue_s(self) -> float:
         """Mean queueing delay (NaN when nothing completed)."""
         if self.record == "full":
-            if not self._completed:
-                return math.nan
-            return sum(c.queue_s for c in self._completed) / len(self._completed)
+            return self._full_mean("queue_s")
         if self.n_completed == 0:
             return math.nan
         return self._queue_sum / self.n_completed
@@ -978,9 +1034,7 @@ class MetricsRecorder:
     def mean_service_s(self) -> float:
         """Mean service time (NaN when nothing completed)."""
         if self.record == "full":
-            if not self._completed:
-                return math.nan
-            return sum(c.service_s for c in self._completed) / len(self._completed)
+            return self._full_mean("service_s")
         if self.n_completed == 0:
             return math.nan
         return self._service_sum / self.n_completed
@@ -989,9 +1043,7 @@ class MetricsRecorder:
     def mean_batch(self) -> float:
         """Mean dispatched batch size (NaN when nothing completed)."""
         if self.record == "full":
-            if not self._completed:
-                return math.nan
-            return sum(c.batch for c in self._completed) / len(self._completed)
+            return self._full_mean("batch")
         if self.n_completed == 0:
             return math.nan
         return self._batch_sum / self.n_completed

@@ -18,8 +18,11 @@ from repro.autoscale import (
     SpikeTrace,
     StaticPolicy,
     TargetUtilizationPolicy,
+    ScaledTrace,
+    mix_request_stream,
     mix_requests,
     nhpp_requests,
+    nhpp_stream,
     node_capacity_rps,
 )
 from repro.cluster import CapacityPlanner, Cluster, ModelPlacement
@@ -32,6 +35,8 @@ def eng():
 
 
 MIX = {"BERT": 0.9, "DLRM": 0.1}
+
+NAN, INF = math.nan, math.inf
 
 
 def obs(
@@ -154,6 +159,52 @@ class TestTraces:
         with pytest.raises(ValueError):
             ConstantTrace(-1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ConstantTrace(NAN),
+            lambda: ConstantTrace(INF),
+            lambda: DiurnalTrace(NAN, 10.0, 5.0),
+            lambda: DiurnalTrace(1.0, NAN, 5.0),
+            lambda: DiurnalTrace(1.0, INF, 5.0),
+            lambda: DiurnalTrace(1.0, 10.0, NAN),
+            lambda: DiurnalTrace(1.0, 10.0, INF),
+            lambda: DiurnalTrace(1.0, 10.0, 5.0, phase_s=NAN),
+            lambda: ScaledTrace(ConstantTrace(10.0), NAN),
+            lambda: ScaledTrace(ConstantTrace(10.0), INF),
+            lambda: ReplayTrace(((0.0, NAN),)),
+            lambda: ReplayTrace(((0.0, INF),)),
+            lambda: ReplayTrace(((NAN, 1.0),)),
+            lambda: ReplayTrace(((0.0, 1.0), (INF, 2.0))),
+            lambda: OnOffTrace(1.0, 2.0, 1.0, 1.0, horizon_s=INF),
+            lambda: OnOffTrace(1.0, 2.0, INF, 1.0, horizon_s=10.0),
+            lambda: OnOffTrace(NAN, 2.0, 1.0, 1.0, horizon_s=10.0),
+            lambda: SpikeTrace(1.0, NAN, 1.0),
+            lambda: SpikeTrace(1.0, 2.0, INF),
+            lambda: SpikeTrace(1.0, 2.0, 1.0, decay_s=NAN),
+            lambda: RampTrace(1.0, NAN, 1.0),
+            lambda: RampTrace(1.0, 2.0, INF),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, make):
+        """NaN thins every arrival away; infinity stalls the thinning
+        clock (a hang, before this check)."""
+        with pytest.raises(ValueError, match="must be finite"):
+            make()
+
+    def test_replay_load_rejects_non_finite_samples(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("0.0 100\n1.0 nan\n")
+        with pytest.raises(ValueError, match="must be finite"):
+            ReplayTrace.load(path)
+
+
+class _UnboundedTrace(ConstantTrace):
+    """A custom trace whose peak-rate envelope is infinite."""
+
+    def peak_rate(self, start_s, end_s):
+        return INF
+
 
 class TestStreamGeneration:
     def test_nhpp_deterministic_per_seed(self):
@@ -202,6 +253,28 @@ class TestStreamGeneration:
             mix_requests(ConstantTrace(10.0), {}, 1.0)
         with pytest.raises(ValueError):
             mix_requests(ConstantTrace(10.0), {"BERT": -1.0}, 1.0)
+
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda: nhpp_requests(ConstantTrace(10.0), "BERT", INF),
+            lambda: nhpp_requests(ConstantTrace(10.0), "BERT", NAN),
+            lambda: list(nhpp_stream(ConstantTrace(10.0), "BERT", INF)),
+            lambda: list(nhpp_stream(ConstantTrace(10.0), "BERT", NAN)),
+            lambda: list(nhpp_stream(_UnboundedTrace(10.0), "BERT", 2.0)),
+            lambda: mix_requests(ConstantTrace(10.0), MIX, INF),
+            lambda: mix_requests(ConstantTrace(10.0), MIX, NAN),
+            lambda: mix_requests(ConstantTrace(10.0), {"BERT": NAN}, 2.0),
+            lambda: mix_requests(ConstantTrace(10.0), {"BERT": INF}, 2.0),
+            lambda: mix_request_stream(ConstantTrace(10.0), MIX, INF),
+            lambda: mix_request_stream(ConstantTrace(10.0), MIX, NAN),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, generate):
+        """Each of these spun forever (or silently yielded nothing)
+        before the finiteness checks."""
+        with pytest.raises(ValueError, match="must be finite"):
+            generate()
 
 
 class TestPolicies:

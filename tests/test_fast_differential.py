@@ -14,10 +14,12 @@ through; exact equality is cheap because both paths are deterministic.
 Scenarios are generated from small integer seeds so CI can throw fresh
 ones at the harness on every push (``FAST_DIFF_SEEDS=a,b,c``, see the
 ``fast-differential`` job in ``.github/workflows/ci.yml``).  The
-default matrix — seeds 0..4 across all four serving loops, plus the
-router sweep — already exercises >20 distinct scenarios: every router,
-SLO and no-SLO mixes, scripted outages, elastic scale events, and
-hetero pool churn.  The same seeds drive
+default matrix — seeds 0..4 across all four serving loops, each in
+three modes (full recording, traced, streaming recording) — already
+exercises 60 runs over every router, SLO and no-SLO mixes, scripted
+outages, elastic scale events, and hetero pool churn.  Traced runs must
+also emit the same spans, span for span; streaming runs must agree on
+every aggregate the report answers.  The same seeds drive
 the three full-report equivalence tests, in both record modes and on
 both paths: ``test_engine_matches_one_node_cluster`` pins the
 single-node engine to a one-node :class:`Cluster` (and
@@ -88,7 +90,7 @@ class Scenario:
     """One seeded random serving scenario, shared by all four loops.
 
     Everything the fast path could get wrong is a dimension here:
-    router choice (four structurally different fast twins), execution
+    router choice (four incremental routers with different state), execution
     policy, per-model SLOs (including models with *no* SLO, which take
     the fallback admission path), scripted mid-run outages, and a
     diurnal arrival trace whose rate crosses node capacity so queues
@@ -213,97 +215,153 @@ def assert_elastic_identical(slow, fast):
     assert slow.sim_end_s == fast.sim_end_s
 
 
-def run_both(loop, scenario):
-    """Run ``loop`` slow then fast on the same scenario; the fast run
-    must actually engage the fast path (FAST_RUNS counter bumps)."""
-    slow = loop(fast=False)
+def _nan_free(x):
+    return None if x != x else x
+
+
+def sample_key(s):
+    """A ControlSample as a tuple with NaN mapped to None (NaN != NaN)."""
+    return tuple(_nan_free(v) for v in vars(s).values())
+
+
+def assert_streaming_identical(slow, fast):
+    """Every aggregate a streaming report answers agrees exactly."""
+    for attr in (
+        "served",
+        "rejected_count",
+        "failed_count",
+        "offered",
+        "events_processed",
+        "sim_end_s",
+    ):
+        assert getattr(slow, attr) == getattr(fast, attr), attr
+    assert _nan_free(slow.p50_s) == _nan_free(fast.p50_s)
+    assert _nan_free(slow.p99_s) == _nan_free(fast.p99_s)
+    windows = range(math.ceil(slow.sim_end_s) + 1)
+    assert [_nan_free(slow.window_percentile(99, t, t + 1)) for t in windows] == [
+        _nan_free(fast.window_percentile(99, t, t + 1)) for t in windows
+    ]
+    if hasattr(slow, "samples"):
+        assert [sample_key(x) for x in slow.samples] == [
+            sample_key(x) for x in fast.samples
+        ]
+    if hasattr(slow, "node_busy_s"):
+        assert slow.node_busy_s == fast.node_busy_s
+
+
+MODES = ("full", "traced", "streaming")
+
+#: The loops' (mode, seed) matrix; a full-mode case keeps the bare seed
+#: as its id.
+MODE_SEEDS = [
+    pytest.param(mode, seed, id=str(seed) if mode == "full" else f"{mode}-{seed}")
+    for mode in MODES
+    for seed in SEEDS
+]
+
+
+def run_both(loop, scenario, mode, assert_identical):
+    """Run ``loop(fast, record, obs)`` slow then fast on the same
+    scenario in ``mode``; the fast run must actually engage the fast
+    path (FAST_RUNS counter bumps), a traced pair must emit the same
+    spans, and the reports must agree — through ``assert_identical``
+    (request for request) on full recording, through
+    :func:`assert_streaming_identical` on streaming."""
+    record = "streaming" if mode == "streaming" else "full"
+    obs = [RunObserver.tracing() if mode == "traced" else None for _ in range(2)]
+    slow = loop(False, record, obs[0])
     before = fastmod.FAST_RUNS
-    fast = loop(fast=True)
+    fast = loop(True, record, obs[1])
     assert fastmod.FAST_RUNS == before + 1, (
         "fast=True fell back to the reference path",
         scenario.seed,
         scenario.router,
+        mode,
     )
+    if mode == "traced":
+        assert obs[0].spans.n_evicted == obs[1].spans.n_evicted == 0
+        assert obs[0].spans.spans == obs[1].spans.spans
+    if record == "full":
+        assert_identical(slow, fast)
+    else:
+        assert_streaming_identical(slow, fast)
     return slow, fast
 
 
 # --------------------------------------------------------------------------
-# The four serving loops x the seed matrix.
+# The four serving loops x the (mode, seed) matrix.
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_engine_fast_matches_slow(engine, seed):
+@pytest.mark.parametrize("mode,seed", MODE_SEEDS)
+def test_engine_fast_matches_slow(engine, mode, seed):
     sc = Scenario(seed)
     stream = sc.stream()
-    slow, fast = run_both(
-        lambda fast: engine.run(stream, sc.policy, fast=fast), sc
+
+    def assert_identical(slow, fast):
+        assert_reports_identical(slow, fast, f"engine-{seed}")
+        assert slow.events_processed == fast.events_processed
+
+    run_both(
+        lambda fast, record, obs: engine.run(
+            stream, sc.policy, record=record, obs=obs, fast=fast
+        ),
+        sc,
+        mode,
+        assert_identical,
     )
-    assert_reports_identical(slow, fast, f"engine-{seed}")
-    assert slow.events_processed == fast.events_processed
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_cluster_fast_matches_slow(engine, seed):
+@pytest.mark.parametrize("mode,seed", MODE_SEEDS)
+def test_cluster_fast_matches_slow(engine, mode, seed):
     sc = Scenario(seed)
     stream = sc.stream()
-    cl = Cluster(
-        n_nodes=2 + seed % 3,
-        engine=engine,
-        policy=sc.policy,
-        router=sc.router,
-        replication=1 + seed % 2,
-    )
-    slow, fast = run_both(
-        lambda fast: cl.run(stream, failures=sc.failures(), fast=fast), sc
-    )
-    assert_cluster_identical(slow, fast)
+
+    def loop(fast, record, obs):
+        cl = Cluster(
+            n_nodes=2 + seed % 3,
+            engine=engine,
+            policy=sc.policy,
+            router=sc.router,
+            replication=1 + seed % 2,
+            record=record,
+        )
+        return cl.run(stream, failures=sc.failures(), obs=obs, fast=fast)
+
+    run_both(loop, sc, mode, assert_cluster_identical)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_elastic_fast_matches_slow(engine, seed):
+@pytest.mark.parametrize("mode,seed", MODE_SEEDS)
+def test_elastic_fast_matches_slow(engine, mode, seed):
     sc = Scenario(seed)
     stream = sc.stream()
-    el = ElasticCluster(
-        engine=engine,
-        policy=sc.policy,
-        router=sc.router,
-        models=sorted(sc.mix),
-        initial_nodes=1 + seed % 3,
-        max_nodes=6,
-        control_interval_s=0.5,
-    )
     pol = TargetUtilizationPolicy(
         capacity_rps=node_capacity_rps(engine, sc.mix, sc.policy),
         target=0.7,
     )
-    slow, fast = run_both(
-        lambda fast: el.run(stream, pol, failures=sc.failures(), fast=fast),
-        sc,
-    )
-    assert_elastic_identical(slow, fast)
+
+    def loop(fast, record, obs):
+        el = ElasticCluster(
+            engine=engine,
+            policy=sc.policy,
+            router=sc.router,
+            models=sorted(sc.mix),
+            initial_nodes=1 + seed % 3,
+            max_nodes=6,
+            control_interval_s=0.5,
+            record=record,
+        )
+        return el.run(
+            stream, pol, failures=sc.failures(), obs=obs, fast=fast
+        )
+
+    run_both(loop, sc, mode, assert_elastic_identical)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_hetero_fast_matches_slow(engine, seed):
+@pytest.mark.parametrize("mode,seed", MODE_SEEDS)
+def test_hetero_fast_matches_slow(engine, mode, seed):
     sc = Scenario(seed)
     stream = sc.stream()
-    hc = HeteroElasticCluster(
-        pools={
-            "stepstone": NodePool(
-                STEPSTONE_NODE,
-                min_nodes=1,
-                max_nodes=5,
-                initial_nodes=2 + seed % 2,
-            ),
-            "gpu": NodePool(GPU_NODE, min_nodes=0, max_nodes=2, initial_nodes=0),
-        },
-        engine=engine,
-        policy=sc.policy,
-        router=sc.router,
-        models=sorted(sc.mix),
-        control_interval_s=0.5,
-    )
     pol = BaselineBurstPolicy(
         baseline="stepstone",
         burst="gpu",
@@ -315,29 +373,41 @@ def test_hetero_fast_matches_slow(engine, seed):
             engine, sc.mix, sc.policy, spec=GPU_NODE
         ),
     )
-    slow, fast = run_both(
-        lambda fast: hc.run(stream, pol, failures=sc.failures(), fast=fast),
-        sc,
-    )
-    assert_elastic_identical(slow, fast)
+
+    def loop(fast, record, obs):
+        hc = HeteroElasticCluster(
+            pools={
+                "stepstone": NodePool(
+                    STEPSTONE_NODE,
+                    min_nodes=1,
+                    max_nodes=5,
+                    initial_nodes=2 + seed % 2,
+                ),
+                "gpu": NodePool(
+                    GPU_NODE, min_nodes=0, max_nodes=2, initial_nodes=0
+                ),
+            },
+            engine=engine,
+            policy=sc.policy,
+            router=sc.router,
+            models=sorted(sc.mix),
+            control_interval_s=0.5,
+            record=record,
+        )
+        return hc.run(
+            stream, pol, failures=sc.failures(), obs=obs, fast=fast
+        )
+
+    slow, fast = run_both(loop, sc, mode, assert_elastic_identical)
     assert slow.pool_timeline == fast.pool_timeline
     assert slow.node_pool == fast.node_pool
-
-
-def _nan_free(x):
-    return None if x != x else x
-
-
-def sample_key(s):
-    """A ControlSample as a tuple with NaN mapped to None (NaN != NaN)."""
-    return tuple(_nan_free(v) for v in vars(s).values())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_one_pool_hetero_matches_elastic(engine, seed):
     """A one-pool hetero fleet under ``PerPoolPolicy`` is the elastic
     fleet: the whole report agrees, in both record modes and on both
-    paths (a streaming ``fast=True`` run falls back in both loops)."""
+    paths."""
     sc = Scenario(seed)
     stream = sc.stream()
     initial = 1 + seed % 3
@@ -508,7 +578,8 @@ def test_engine_spans_match_one_node_cluster(engine, seed):
 
 def test_every_router_covered_by_default_matrix():
     """Seeds 0..3 map onto the four routers, so even the minimal matrix
-    exercises all four fast router twins; fresh CI seeds extend it."""
+    exercises every builtin router on both paths; fresh CI seeds extend
+    it."""
     covered = {Scenario(s).router for s in SEEDS}
     assert covered == set(ROUTERS)
 

@@ -24,8 +24,9 @@ The bottom sections pin the segment *seams* specifically: KV overflow
 landing exactly on a segment's last boundary, recompute-on-resume after
 preemption, the never-empty-batch invariant under single-sequence
 saturation, the golden trace captured from the pre-fast-path loop, and
-one test per labeled ``fast_fallback`` telemetry cause across all five
-serving loops.
+one test per labeled ``fast_fallback`` telemetry cause: ``spans`` and
+``profiler`` for genai, ``profiler`` for the single-node engine, and
+``presorted-stream`` for the fleets.
 
 Regenerate the golden fixture (only on a *deliberate* behavior change):
 
@@ -383,36 +384,35 @@ def test_engine_fallback_reasons():
     from repro.serving import OnlineServingEngine
 
     eng = OnlineServingEngine()
-    cases = [
-        ("streaming-record", dict(record="streaming")),
-        ("spans", dict(obs=RunObserver.tracing())),
-        ("profiler", dict(obs=RunObserver.profiling())),
-    ]
-    for reason, kw in cases:
-        _assert_fallback(
-            "engine",
-            reason,
-            lambda: eng.run(_serving_stream(), "hybrid", fast=True, **kw),
-        )
     _assert_fallback(
-        "engine", "empty-stream", lambda: eng.run([], "hybrid", fast=True)
+        "engine",
+        "profiler",
+        lambda: eng.run(
+            _serving_stream(), "hybrid", obs=RunObserver.profiling(), fast=True
+        ),
     )
 
 
-def test_cluster_fallback_reasons():
-    from repro.cluster import Cluster
+def test_engine_empty_stream_records_no_fallback():
+    """An empty stream returns before the gate: neither engaged nor
+    counted as a fallback."""
+    from repro.serving import OnlineServingEngine
+    from repro.sim import fast as sfast
 
-    cases = [
-        ("streaming-record", dict(record="streaming"), dict()),
-        ("spans", dict(), dict(obs=RunObserver.tracing())),
-    ]
-    for reason, ctor_kw, run_kw in cases:
-        cl = Cluster(n_nodes=2, **ctor_kw)
-        _assert_fallback(
-            "cluster",
-            reason,
-            lambda: cl.run(_serving_stream(), fast=True, **run_kw),
-        )
+    def fallbacks():
+        counters = BUS.snapshot()["counters"]
+        return {k: v for k, v in counters.items() if k.startswith("fast_fallback")}
+
+    eng = OnlineServingEngine()
+    BUS.enable()
+    try:
+        before = (sfast.FAST_RUNS, fallbacks())
+        rep = eng.run([], "hybrid", fast=True)
+        assert rep.served == 0
+        assert (sfast.FAST_RUNS, fallbacks()) == before
+    finally:
+        BUS.disable()
+        BUS.reset()
 
 
 def _elastic_policy(engine, models):
@@ -430,62 +430,15 @@ def _elastic_policy(engine, models):
 def test_elastic_fallback_reasons():
     from repro.autoscale import ElasticCluster
 
-    cases = [
-        ("presorted-stream", dict(), dict(presorted=True, horizon_s=1.0)),
-        ("streaming-record", dict(record="streaming"), dict()),
-        ("spans", dict(), dict(obs=RunObserver.tracing())),
-    ]
-    for reason, ctor_kw, run_kw in cases:
-        el = ElasticCluster(
-            models=["BERT"], initial_nodes=1, max_nodes=2, **ctor_kw
-        )
-        pol = _elastic_policy(el.engine, ["BERT"])
-        _assert_fallback(
-            "elastic",
-            reason,
-            lambda: el.run(_serving_stream(), pol, fast=True, **run_kw),
-        )
-
-
-def test_hetero_fallback_reasons():
-    from repro.autoscale import HeteroElasticCluster, NodePool
-    from repro.autoscale.policies import node_capacity_rps
-    from repro.autoscale import BaselineBurstPolicy
-    from repro.serving import GPU_NODE
-
-    cases = [
-        ("streaming-record", dict(record="streaming"), dict()),
-        ("spans", dict(), dict(obs=RunObserver.tracing())),
-    ]
-    for reason, ctor_kw, run_kw in cases:
-        hc = HeteroElasticCluster(
-            pools={
-                "stepstone": NodePool(
-                    STEPSTONE_NODE, min_nodes=1, max_nodes=2, initial_nodes=1
-                ),
-                "gpu": NodePool(
-                    GPU_NODE, min_nodes=0, max_nodes=1, initial_nodes=0
-                ),
-            },
-            models=["BERT"],
-            **ctor_kw,
-        )
-        pol = BaselineBurstPolicy(
-            baseline="stepstone",
-            burst="gpu",
-            baseline_nodes=1,
-            baseline_capacity_rps=node_capacity_rps(
-                hc.engine, {"BERT": 1.0}, "hybrid", spec=STEPSTONE_NODE
-            ),
-            burst_capacity_rps=node_capacity_rps(
-                hc.engine, {"BERT": 1.0}, "hybrid", spec=GPU_NODE
-            ),
-        )
-        _assert_fallback(
-            "hetero",
-            reason,
-            lambda: hc.run(_serving_stream(), pol, fast=True, **run_kw),
-        )
+    el = ElasticCluster(models=["BERT"], initial_nodes=1, max_nodes=2)
+    pol = _elastic_policy(el.engine, ["BERT"])
+    _assert_fallback(
+        "elastic",
+        "presorted-stream",
+        lambda: el.run(
+            _serving_stream(), pol, fast=True, presorted=True, horizon_s=1.0
+        ),
+    )
 
 
 class _MostBacklogRouter(Router):

@@ -188,8 +188,8 @@ class TestEngineRuns:
             OnlineServingEngine(max_batch=bad)
 
     def test_bad_record_mode_raises_before_fast_gate(self, eng):
-        """An unknown record mode is refused before the fast gate can
-        count it as a ``streaming-record`` fallback."""
+        """An unknown record mode is refused before the run starts: no
+        telemetry counter (engagement or fallback) is touched."""
         obs = RunObserver.full()
         with pytest.raises(ValueError, match="unknown record mode"):
             eng.run(

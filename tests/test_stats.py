@@ -264,6 +264,86 @@ class TestMetricsRecorder:
         assert run.percentile(50) == 0.5
 
 
+def _batch(arrivals, first_id=0):
+    return [
+        Request(req_id=first_id + i, model="BERT", arrival_s=a)
+        for i, a in enumerate(arrivals)
+    ]
+
+
+class TestDeferredFullRecording:
+    """A parentless full-mode recorder stores each batch and builds its
+    ``CompletedRequest``\\ s on first read; every query answers as if
+    they had been recorded eagerly."""
+
+    def test_direct_append_after_batch_keeps_batch_order(self):
+        rec = MetricsRecorder(record="full")
+        rec.record_batch(1.0, 2.0, _batch([0.5, 0.75]))
+        extra = _completion(0.1, finish_s=3.0, req_id=9)
+        rec.completed.append(extra)
+        rec.record_batch(3.0, 4.0, _batch([2.5], first_id=2))
+        assert [c.request.req_id for c in rec.completed] == [0, 1, 9, 2]
+        assert [(c.dispatch_s, c.finish_s, c.batch) for c in rec.completed] == [
+            (1.0, 2.0, 2),
+            (1.0, 2.0, 2),
+            (extra.dispatch_s, 3.0, 1),
+            (3.0, 4.0, 1),
+        ]
+
+    def test_completed_count_is_constant_time_and_counts_appends(self):
+        rec = MetricsRecorder(record="full")
+        done = rec.completed
+        done.append(_completion(0.1, finish_s=1.0))
+        rec.record_batch(1.0, 2.0, _batch([0.5, 0.75, 1.0]))
+        version = done.version
+        assert rec.completed_count == 4
+        # Counting built nothing: the list was not touched.
+        assert done.version == version and len(done) == 1
+        assert len(rec.completed) == 4
+
+    def test_new_latencies_spans_built_and_pending_batches(self):
+        def fill(rec):
+            rec.record_batch(1.0, 2.0, _batch([0.5, 0.75]))
+            rec.completed  # build the first batch
+            rec.record_batch(2.0, 3.0, _batch([1.0, 1.5, 1.75], first_id=2))
+            rec.record_batch(3.0, 5.0, _batch([2.5, 2.75], first_id=5))
+            return rec
+
+        expected = [c.latency_s for c in fill(MetricsRecorder()).completed]
+        assert expected == [1.5, 1.25, 2.0, 1.5, 1.25, 2.5, 2.25]
+        for seen in range(len(expected) + 2):
+            assert fill(MetricsRecorder()).new_latencies(seen) == expected[seen:]
+
+    def test_build_bumps_version_so_fleet_latencies_resort(self):
+        from repro.cluster import Cluster
+        from repro.serving import poisson_requests
+
+        rec = MetricsRecorder(record="full")
+        done = rec.completed
+        version = done.version
+        rec.record_batch(1.0, 2.0, _batch([0.5]))
+        assert rec.completed is done and done.version > version
+
+        rep = Cluster(2, engine=OnlineServingEngine()).run(
+            poisson_requests("BERT", 200.0, 1.0, seed=1)
+        )
+        longest = max(rep.latencies_s)
+        node = rep.node_reports[0]
+        node.stats.record_batch(50.0, 100.0, _batch([0.0], first_id=10_000))
+        assert max(rep.latencies_s) == 100.0 > longest
+
+    def test_full_recorder_with_parent_records_eagerly(self):
+        parent = MetricsRecorder(record="full")
+        child = MetricsRecorder(record="full", parent=parent)
+        child.record_batch(1.0, 2.0, _batch([0.5, 0.75]))
+        assert parent.completed_count == 2
+        assert [
+            (c.request.req_id, c.dispatch_s, c.finish_s, c.batch)
+            for c in parent.completed
+        ] == [(0, 1.0, 2.0, 2), (1, 1.0, 2.0, 2)]
+        assert parent.completed == child.completed
+
+
 class TestSortedLatencyCacheInvalidation:
     """The satellite fix: percentile memos key on list *versions*, not
     lengths, so a same-length in-place mutation can never serve a stale
